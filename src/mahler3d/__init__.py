@@ -22,8 +22,9 @@ from .polarity import (MAHLER_BOUND, VolumeProductReport, polar,
 from .shadow import (Direction, ShadowSystem, SpeedSpace, SpeedVector,
                      admissibility_residual, admissible_space,
                      check_inverse_polar_convexity, check_volume_affine,
-                     deform, direction, is_trivial, nontrivial_component,
-                     persistence_interval, shadow_system, speed_vector,
+                     deform, direction, frozen_product, is_trivial,
+                     nontrivial_component, persistence_interval,
+                     persistence_root, shadow_system, speed_vector,
                      trivial_speed)
 
 __version__ = "1.0.0"
@@ -38,11 +39,12 @@ __all__ = [
     "build_sym_polytope", "c_theta", "check_inverse_polar_convexity",
     "check_volume_affine", "classify_minimizer_candidate", "corpus_verify",
     "deform", "descend", "dimension_bound", "direction", "errors",
-    "face_lattice", "from_representatives", "generic_direction",
-    "in_plane_direction", "is_trivial", "linear_image", "load_polytope",
-    "nontrivial_component", "persistence_interval", "polar",
-    "random_symmetric_polytope", "same_labeled_lattice", "santalo_point",
-    "santalo_polar", "save_polytope", "shadow_system", "snap_to_rational",
-    "speed_vector", "to_double", "trivial_speed", "verify_incidence_duality",
-    "volume", "volume_product", "__version__",
+    "face_lattice", "from_representatives", "frozen_product",
+    "generic_direction", "in_plane_direction", "is_trivial", "linear_image",
+    "load_polytope", "nontrivial_component", "persistence_interval",
+    "persistence_root", "polar", "random_symmetric_polytope",
+    "same_labeled_lattice", "santalo_point", "santalo_polar",
+    "save_polytope", "shadow_system", "snap_to_rational", "speed_vector",
+    "to_double", "trivial_speed", "verify_incidence_duality", "volume",
+    "volume_product", "__version__",
 ]

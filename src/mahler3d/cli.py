@@ -289,6 +289,8 @@ def _cmd_deform(args):
     else:
         ts = [float(t) for t in np.linspace(-float(c), float(c), K)]
     rows = []
+    # Full re-hull per row, not SH.frozen_product: on frozen cycles the
+    # volume is affine by construction and the CSV could not test it.
     for t in ts:
         Q = SH.deform(P, theta, alpha, t)
         vol = G.volume(Q)

@@ -203,9 +203,9 @@ def _support_sets_double(pts, dist_tol, area_tol):
     if not ok:
         raise NumericalDegeneracy("supporting-plane capacity overflow; input too degenerate")
     sets = [frozenset(np.nonzero(m)[0].tolist()) for m in masks]
-    planes = [(tuple(p[:3]), p[3]) for p in planes]
+    planes = [(tuple(p[:3]), p[3]) for p in planes.tolist()]
     tol2 = area_tol * area_tol
-    tpoints = [tuple(p) for p in pts]
+    tpoints = pts.tolist()
     changed = True
     while changed:
         changed = False
@@ -290,7 +290,7 @@ def hull_3d(points, exact, ref, dist_tol=None):
         if dim < 3:
             raise DegenerateInput(f"affine hull has dimension {dim} < 3")
         raw = _support_sets_double(arr, dist_tol, area_tol)
-        points = [tuple(p) for p in arr]
+        points = arr.tolist()
         eps2_of = lambda diam2: AREA_TOL_REL * diam2
 
     facets = []

@@ -227,26 +227,25 @@ def _snap_iterate(P):
 def _line_search(B, theta, alpha, c, samples, tol):
     """Minimize the volume product along the deformation over [-c, c].
 
-    A uniform grid (always containing t = 0) seeds a golden-section
-    refinement around the best grid point; ties break toward t = 0, since a
-    flat product along a system through a minimizer is expected and
-    wandering along the valley is pointless.  Returns (t, product at t,
-    product spread over the grid).
+    [-c, c] lies inside a persistence interval, so the product is read from
+    the frozen-lattice evaluator instead of re-hulling at every t.  A uniform
+    grid (always containing t = 0), evaluated in one vectorised call, seeds a
+    golden-section refinement around the best grid point; ties break toward
+    t = 0, since a flat product along a system through a minimizer is
+    expected and wandering along the valley is pointless.  Returns (t,
+    product at t, product spread over the grid).
     """
-    cache = {}
-
-    def g(t):
-        if t not in cache:
-            try:
-                Q = SH.deform(B, theta, alpha, t)
-                cache[t] = float(PO.volume_product(Q).product)
-            except (DegenerateDeformation, NumericalDegeneracy):
-                cache[t] = math.inf
-        return cache[t]
-
+    product = SH.frozen_product(B, theta, alpha)
     ts = list(np.linspace(-c, c, samples))
     if 0.0 not in ts:
         ts.append(0.0)
+    cache = dict(zip(ts, product(ts).tolist()))
+
+    def g(t):
+        if t not in cache:
+            cache[t] = float(product(t)[0])
+        return cache[t]
+
     vals = [(g(t), abs(t), t) for t in ts]
     finite = [v[0] for v in vals if math.isfinite(v[0])]
     spread = (max(finite) - min(finite)) if finite else 0.0
@@ -309,7 +308,7 @@ def descend(P0, cfg=None):
             terminated_by = "classification"
             break
         Q = PO.polar(P)
-        before = float(PO.volume_product(P).product)
+        before = float(G.volume(P) * G.volume(Q))
         dirs = _candidate_directions(P, Q, cfg, rng)
         candidates = []
         for th in dirs:

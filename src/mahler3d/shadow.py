@@ -1,5 +1,6 @@
 """Symmetric shadow systems: admissible speed spaces, deformation along a
-direction, persistence of the face lattice, and the two trajectory checkers
+direction, the analytic persistence width of the face lattice, a
+frozen-lattice volume-product evaluator, and the two trajectory checkers
 (volume affineness, inverse polar-volume convexity).
 
 A speed vector assigns one real per vertex, odd under the antipodal pairing.
@@ -22,7 +23,7 @@ from .errors import (AffinenessViolation, ConvexityViolation,
                      DegenerateDeformation, DegenerateInput, InputError,
                      InternalInconsistency, NoPersistence,
                      NumericalDegeneracy, ParallelismAmbiguity)
-from .hull import cross, dot, neg, sub
+from .hull import DIST_TOL_REL, cross, dot, sub
 
 PARALLEL_TOL = 1e-14      # |theta.n| at or below this counts as parallel (double)
 AMBIGUITY_TOL = 1e-10     # band (PARALLEL_TOL, AMBIGUITY_TOL] is refused
@@ -408,103 +409,91 @@ def shadow_system(P, theta, alpha, c=None, c_max=DEFAULT_C_MAX):
     return ShadowSystem(base=P, theta=theta, alpha=alpha, c=c)
 
 
-def _deformed_same_lattice(P, theta, alpha, t):
+def _lattice_holds(P, theta, alpha, t):
     try:
         Q = deform(P, theta, alpha, t)
     except (DegenerateDeformation, NumericalDegeneracy):
-        return None
-    if G.same_labeled_lattice(P.lattice, Q.lattice):
-        return Q
-    return None
+        return False
+    return G.same_labeled_lattice(P.lattice, Q.lattice)
 
 
-def _certify(P, theta, alpha, c, dyadic_depth, samples):
-    """Full certification of a candidate half-width.
+def persistence_root(P, theta, alpha):
+    """The signed t nearest 0 at which the labeled face lattice of the
+    deformation stops being certified, or None when no such t exists.
 
-    Checks labeled-lattice equality on the uniform and dyadic schedules, and
-    additionally that the volume is affine across the uniform samples: facet
-    families alone cannot detect a pass through a degenerate collapse (an
-    invertible map with flipped orientation preserves them), but the volume
-    kinks there.
-    """
-    exact = P.kernel == G.RATIONAL
-    if samples > 2:
-        if exact:
-            cq = Fraction(c)
-            ts = [-cq + 2 * cq * i / (samples - 1) for i in range(samples)]
-        else:
-            ts = list(np.linspace(-c, c, samples))
-        vols = []
-        for t in ts:
-            Q = _deformed_same_lattice(P, theta, alpha, t)
-            if Q is None:
-                return False
-            vols.append(G.volume(Q))
-        second = [vols[i + 1] - 2 * vols[i] + vols[i - 1]
-                  for i in range(1, samples - 1)]
-        if exact:
-            if any(s != 0 for s in second):
-                return False
-        else:
-            vmax = max(abs(float(v)) for v in vols)
-            if any(abs(float(s)) > 1e-6 * vmax for s in second):
-                return False
-    dyadic = [c * 0.5 ** j for j in range(dyadic_depth + 1)]
-    schedule = [0.0] + [s * t for t in dyadic for s in (1.0, -1.0)]
-    for t in schedule:
-        if _deformed_same_lattice(P, theta, alpha, t) is None:
-            return False
-    return True
+    For each facet f (one per antipodal pair) with first cycle corners
+    a, b, c and every vertex j, the support function
+    s_fj(t) = det[y_b - y_a, y_c - y_a, y_j - y_a], y_i = x_i + t alpha_i u,
+    is exactly affine, s0 + t s1: every displacement is parallel to u, so
+    each term with two u-columns vanishes.  The lattice holds while every
+    incident s_fj stays 0 and every other keeps its sign.  A corner of f that
+    straightens puts a neighbour on the plane of an adjacent facet, whose
+    function then vanishes, so corners need no separate test.
 
-
-def persistence_interval(P, theta, alpha, c_max=DEFAULT_C_MAX,
-                         dyadic_depth=20, samples=32):
-    """A certified half-width c > 0 on which the deformation keeps the
-    labeled face lattice of ``P``.
-
-    Search: doubling then bisection from c0 = 0.1 x inradius / ||alpha||_inf,
-    probing only the endpoints; the candidate is then shrunk by 0.9 and
-    certified on the dyadic-plus-uniform schedule (t = 0, +-c/2^j, and
-    ``samples`` uniform points), which also requires the volume to stay
-    affine across the uniform samples, rejecting intervals that silently
-    pass through a degenerate collapse.  The candidate halves until
-    certification succeeds; NoPersistence is raised when even c = 1e-12
-    fails, which signals a non-admissible speed.
+    Rational kernel: exact roots -s0/s1, and an incident vertex with s1 != 0
+    raises NoPersistence.  Double kernel: non-incident functions are solved
+    for the margin 2 dist_tol |n| (at most half their value) instead of 0, and
+    an incident vertex contributes the positive drift bound dist_tol |n| / |s1|
+    within which it stays on its facet plane.
     """
     theta = direction(theta)
     alpha = speed_vector(P, alpha)
-    amax = alpha.max_abs()
-    if amax == 0:
-        return float(c_max)
-    c0 = 0.1 * P.inradius() / amax
-
-    def endpoint_ok(c):
-        return _deformed_same_lattice(P, theta, alpha, c) is not None and \
-            _deformed_same_lattice(P, theta, alpha, -c) is not None
-
-    c = c0
-    if not endpoint_ok(c):
-        lo, hi = 0.0, c
-        for _ in range(40):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            if endpoint_ok(mid):
-                lo = mid
-                if hi - lo <= 0.05 * hi:
-                    break
+    exact = P.kernel == G.RATIONAL
+    u = theta.carrier if exact else theta.theta
+    X, al, lat = P.vertices, alpha.alpha, P.lattice
+    if not exact:
+        dist_tol = DIST_TOL_REL * max(1.0, max(abs(c) for v in X for c in v))
+    best = None
+    for f in lat.I2:
+        if lat.opposite_facet[f] < f:
+            continue  # the antipodal facet gives the same functions negated
+        cycle = lat.facet_cycles[f]
+        a, b, c = cycle[:3]
+        B, C = sub(X[b], X[a]), sub(X[c], X[a])
+        n = cross(B, C)
+        nu = dot(n, u)
+        db, dc = al[b] - al[a], al[c] - al[a]
+        w = tuple(db * p + dc * q for p, q in zip(cross(u, C), cross(B, u)))
+        margin = 0 if exact else dist_tol * dot(n, n) ** 0.5
+        for j in range(P.V):
+            J = sub(X[j], X[a])
+            s1 = dot(w, J) + (al[j] - al[a]) * nu
+            if s1 == 0:
+                continue
+            if j in cycle:
+                if exact:
+                    raise NoPersistence(
+                        f"vertex {j} leaves the plane of facet {f}; the "
+                        "speed is not admissible for this direction")
+                root = margin / abs(s1)
             else:
-                hi = mid
-        c = lo
-    else:
-        while c < c_max and endpoint_ok(min(2 * c, c_max)):
-            c = min(2 * c, c_max)
-            if c == c_max:
-                break
+                s0 = dot(n, J)
+                m = min(2 * margin, abs(s0) / 2)
+                root = ((m if s0 > 0 else -m) - s0) / s1
+            if best is None or abs(root) < abs(best):
+                best = root
+    return best
 
-    c = 0.9 * min(c, c_max)
+
+def persistence_interval(P, theta, alpha, c_max=DEFAULT_C_MAX):
+    """A certified half-width c > 0 on which the deformation keeps the
+    labeled face lattice of ``P``.
+
+    The width is analytic: c = 0.9 |persistence_root|, capped at ``c_max``
+    (``c_max`` itself when no support function ever binds, as for a zero
+    speed).  As an independent check the body is re-hulled at t = +-c; while
+    the lattice differs there, c halves, and NoPersistence is raised once it
+    falls below 1e-12, which signals a non-admissible speed.
+    """
+    theta = direction(theta)
+    alpha = speed_vector(P, alpha)
+    root = persistence_root(P, theta, alpha)
+    c = float(c_max)
+    if root is not None:
+        c = min(0.9 * abs(float(root)), c)
     while c >= 1e-12:
-        if _certify(P, theta, alpha, c, dyadic_depth, samples):
+        if _lattice_holds(P, theta, alpha, c) and \
+                _lattice_holds(P, theta, alpha, -c):
             return c
         c *= 0.5
     raise NoPersistence(
@@ -512,12 +501,69 @@ def persistence_interval(P, theta, alpha, c_max=DEFAULT_C_MAX,
         "not admissible for this direction")
 
 
+def frozen_product(P, theta, alpha):
+    """Closure ts -> array of |P_t| |P_t polar| over a vector of t, with the
+    labeled face lattice of the double-kernel body ``P`` held fixed.
+
+    Valid inside a persistence interval, where the lattice cannot change:
+    the vertices are X + t alpha u; facet normals come from Newell's formula
+    over the fixed cycles, normalised, and each offset is the mean of n.x
+    over its cycle, as ``hull_3d`` builds them; the polar vertices are n/h;
+    both volumes are origin fans, over the facet cycles and over the vertex
+    rings (the polar's facet cycles).  A t where an offset is not positive
+    reads +inf.  On fixed cycles the volume is affine by construction, so
+    the trajectory checkers deliberately re-hull instead of using this.
+    """
+    lat = P.lattice
+    X = P.as_array().T[:, None, :]                 # (3, 1, V)
+    a = speed_vector(P, alpha).as_array()
+    u = np.array(direction(theta).theta)[:, None, None]
+    cycles = lat.facet_cycles
+    flat = np.concatenate(cycles)
+    succ = np.concatenate([np.roll(cyc, -1) for cyc in cycles])
+    sizes = np.array([len(cyc) for cyc in cycles])
+    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    owner = np.repeat(np.arange(len(cycles)), sizes)
+
+    def fan(cyc_list):
+        return np.array([(cyc[0], cyc[k], cyc[k + 1]) for cyc in cyc_list
+                         for k in range(1, len(cyc) - 1)]).T
+
+    primal_fan = fan(cycles)
+    polar_fan = fan(lat.vertex_facet_cycles())
+
+    def fan_volume(Y, tri):
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = (Y[:, :, k] for k in tri)
+        det = (a0 * (b1 * c2 - b2 * c1) + a1 * (b2 * c0 - b0 * c2)
+               + a2 * (b0 * c1 - b1 * c0))
+        return det.sum(axis=1) / 6.0
+
+    def f(ts):
+        ts = np.atleast_1d(np.asarray(ts, dtype=float))
+        Y = X + u * (ts[:, None] * a)              # (3, T, V), as deform rounds
+        p, q = Y[:, :, flat], Y[:, :, succ]
+        d, s = p - q, p + q
+        nw = np.add.reduceat(d[[1, 2, 0]] * s[[2, 0, 1]], starts, axis=2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            n = nw / np.sqrt((nw * nw).sum(axis=0))
+            h = np.add.reduceat((n[:, :, owner] * p).sum(axis=0), starts,
+                                axis=1) / sizes
+            prod = fan_volume(Y, primal_fan) * np.abs(
+                fan_volume(n / h, polar_fan))
+        ok = (h > 0).all(axis=1) & np.isfinite(prod)
+        return np.where(ok, prod, np.inf)
+
+    return f
+
+
 def check_volume_affine(S, samples=9):
     """Sample |P_t| on [-c, c] and verify t -> volume is affine.
 
     Fits a quadratic; the quadratic term's contribution over the interval
     must stay below 1e-8 of the linear scale.  On the rational kernel the
-    second differences of the exact volumes must vanish identically.
+    second differences of the exact volumes must vanish identically.  Every
+    sample is a full re-hull: over the frozen cycles of ``frozen_product``
+    the volume is affine by construction, so the check would prove nothing.
     """
     if samples < 3:
         raise InputError("need at least 3 samples")
@@ -557,7 +603,8 @@ def check_volume_affine(S, samples=9):
 def check_inverse_polar_convexity(S, samples=9):
     """Sample f(t) = 1/|P_t polar| on [-c, c] and verify convexity through
     second differences (exact nonnegativity on the rational kernel, else
-    >= -1e-8 x max|f|)."""
+    >= -1e-8 x max|f|).  Every sample is a full re-hull, independent of the
+    frozen-lattice evaluator that the line search relies on."""
     if samples < 5:
         raise InputError("need at least 5 samples")
     P, theta, alpha, c = S.base, S.theta, S.alpha, S.c

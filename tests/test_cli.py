@@ -1,8 +1,11 @@
 import csv
 import io
 import json
+import os
 import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +14,8 @@ from mahler3d import cli
 from mahler3d.errors import CounterexampleAlarm
 
 from conftest import CUBE_REPS, CUBOCTA_REPS, OCTA_REPS
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def write_body(tmp_path, name, reps):
@@ -197,7 +202,17 @@ def test_exit_2_on_finding(capsys, monkeypatch):
 
 
 def test_console_script_help():
-    out = subprocess.run(["mahler3d", "--help"], capture_output=True,
-                         text=True)
+    # `python -m mahler3d` runs the same main as the installed script, which
+    # pyproject.toml must keep pointing at it.
+    src = str(ROOT / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-m", "mahler3d", "--help"],
+                         capture_output=True, text=True, env=env)
     assert out.returncode == 0
     assert "bound-sweep" in out.stdout
+    import tomllib  # Python 3.11+
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts["mahler3d"] == "mahler3d.cli:main"

@@ -6,7 +6,7 @@ from scipy.spatial import ConvexHull
 
 import mahler3d as M
 from mahler3d.errors import (DegenerateDeformation, InputError, NoPersistence,
-                             ParallelismAmbiguity)
+                             NumericalDegeneracy, ParallelismAmbiguity)
 
 import oracles
 
@@ -114,6 +114,75 @@ def test_persistence_expansion_stops_before_collapse(cube_r):
     for t in (-c, Fraction(float(c)) / 2, c):
         Q = M.deform(cube_r, th, alpha, Fraction(float(t)))
         assert M.same_labeled_lattice(Q.lattice, cube_r.lattice)
+
+
+def test_persistence_root_cube_expansion_exact(cube_r):
+    # diag(1 + t, 1, 1) collapses the cube at t = -1 and nowhere else
+    th = M.direction((1, 0, 0))
+    alpha = M.trivial_speed(cube_r, (1, 0, 0))
+    root = M.persistence_root(cube_r, th, alpha)
+    assert isinstance(root, Fraction) and root == -1
+
+
+def _lattice_kept(P, th, alpha, t):
+    try:
+        Q = M.deform(P, th, alpha, t)
+    except (DegenerateDeformation, NumericalDegeneracy):
+        return False
+    return M.same_labeled_lattice(Q.lattice, P.lattice)
+
+
+def _dyadic_sphere_body(n_pairs, rng, bits=20):
+    pts = rng.normal(size=(n_pairs, 3))
+    pts /= np.linalg.norm(pts, axis=1)[:, None]
+    den = 1 << bits
+    return M.build_sym_polytope(
+        [tuple(Fraction(round(float(x) * den), den) for x in p) for p in pts],
+        kernel=M.RATIONAL)
+
+
+def test_persistence_root_rational_tight(cubocta_r):
+    rng = np.random.default_rng(17)
+    cases = [(cubocta_r, (1, 1, 0))]
+    for k in (4, 5):
+        theta = tuple(int(x) for x in rng.integers(1, 10, 3))
+        P = _dyadic_sphere_body(k, rng)
+        assert P.V == 2 * k
+        cases.append((P, theta))
+    eps = Fraction(1, 2 ** 10)
+    for P, theta in cases:
+        rq = M.dimension_bound(P, theta)
+        th, alpha = rq.theta, rq.witness_speed
+        assert alpha is not None
+        root = M.persistence_root(P, th, alpha)
+        assert isinstance(root, Fraction) and root != 0
+        for t in ((1 - eps) * abs(root), -(1 - eps) * abs(root)):
+            assert _lattice_kept(P, th, alpha, t)
+        assert not _lattice_kept(P, th, alpha, (1 + eps) * root)
+
+
+def test_frozen_product_matches_rehull(corpus50):
+    # Both paths round differently; their gap grows with the cancellation in
+    # the fan volumes, which R^3 / |K| bounds (about 1 for round bodies).
+    def kappa(B):
+        return B.circumradius() ** 3 / float(M.volume(B))
+
+    rng = np.random.default_rng(23)
+    for P in corpus50[:12]:
+        for B in (P, M.polar(P)):
+            th = M.direction(tuple(float(x) for x in rng.normal(size=3)))
+            space = M.admissible_space(B, th)
+            extra = [b for b in space.basis if not M.is_trivial(space, b)]
+            alpha = (extra or space.basis)[0]
+            c = M.persistence_interval(B, th, alpha)
+            ts = np.linspace(-c, c, 9)
+            got = M.frozen_product(B, th, alpha)(ts)
+            for t, g in zip(ts, got):
+                Q = M.deform(B, th, alpha, float(t))
+                assert M.same_labeled_lattice(Q.lattice, B.lattice)
+                ref = float(M.volume_product(Q).product)
+                tol = 1e-12 * max(1.0, kappa(Q) + kappa(M.polar(Q)))
+                assert abs(g - ref) <= tol * ref
 
 
 def test_persistence_rejects_inadmissible_speed(cubocta_r):
