@@ -23,9 +23,9 @@ from .shadow import (Direction, ShadowSystem, SpeedSpace, SpeedVector,
                      admissibility_residual, admissible_space,
                      check_inverse_polar_convexity, check_volume_affine,
                      deform, direction, frozen_product, is_trivial,
-                     nontrivial_component, persistence_interval,
-                     persistence_root, shadow_system, speed_vector,
-                     trivial_speed)
+                     nontrivial_component, nontrivial_speed,
+                     persistence_interval, persistence_root, shadow_system,
+                     speed_vector, trivial_speed)
 
 __version__ = "1.0.0"
 
@@ -41,8 +41,9 @@ __all__ = [
     "deform", "descend", "dimension_bound", "direction", "errors",
     "face_lattice", "from_representatives", "frozen_product",
     "generic_direction", "in_plane_direction", "is_trivial", "linear_image",
-    "load_polytope", "nontrivial_component", "persistence_interval",
-    "persistence_root", "polar", "random_symmetric_polytope",
+    "load_polytope", "nontrivial_component", "nontrivial_speed",
+    "persistence_interval", "persistence_root", "polar",
+    "random_symmetric_polytope",
     "same_labeled_lattice", "santalo_point", "santalo_polar",
     "save_polytope", "shadow_system", "snap_to_rational", "speed_vector",
     "to_double", "trivial_speed", "verify_incidence_duality", "volume",

@@ -1,152 +1,29 @@
-"""Hot numeric kernels for the double-precision path.
+"""Numeric kernels: the supporting-plane search of the double-precision hull
+and the origin-fan volume shared by both kernels.
 
-Two interchangeable backends implement the same arithmetic with identical
-per-element operation order, so they agree bitwise away from tolerance
-boundaries:
-
-* a numba ``@njit`` backend (default when numba imports cleanly), and
-* a pure-numpy broadcast backend.
-
-Set ``MAHLER3D_DISABLE_NUMBA=1`` to force the numpy backend; the benchmark in
-``benchmarks/bench_kernels.py`` compares the two.  The exact-rational path of
-the toolkit never enters this module.
+``support_planes`` is the hull's hot loop, vectorised with numpy over all
+point triples; the exact-rational hull never enters it.  ``fan_volume`` is
+a plain loop over coordinate tuples, exact on ``Fraction`` coordinates.
 """
 
 import itertools
-import os
 
 import numpy as np
 
-_DISABLE = os.environ.get("MAHLER3D_DISABLE_NUMBA", "").strip() in {"1", "true", "yes"}
-
-if not _DISABLE:
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        _HAVE_NUMBA = False
-else:
-    _HAVE_NUMBA = False
-
 
 def backend_name():
-    return "numba" if _HAVE_NUMBA else "numpy"
+    return "numpy"
 
 
-def _support_planes_py(pts, dist_tol, area_tol):
+def support_planes(pts, dist_tol, area_tol):
     """Enumerate supporting planes of conv(pts) through point triples.
 
     Returns (planes, masks, ok): unit outward normals with offsets in
     ``planes`` (m, 4), incident-point masks in ``masks`` (m, n) uint8, and
-    ``ok`` False when the facet capacity overflowed (degenerate input).
+    ``ok`` False when more planes turn up than a 3-polytope on n points can
+    have facets (degenerate input).
     """
-    n = pts.shape[0]
-    cap = 8 * n + 16
-    planes = np.zeros((cap, 4))
-    masks = np.zeros((cap, n), np.uint8)
-    nf = 0
-    for i in range(n - 2):
-        for j in range(i + 1, n - 1):
-            ax = pts[j, 0] - pts[i, 0]
-            ay = pts[j, 1] - pts[i, 1]
-            az = pts[j, 2] - pts[i, 2]
-            for k in range(j + 1, n):
-                bx = pts[k, 0] - pts[i, 0]
-                by = pts[k, 1] - pts[i, 1]
-                bz = pts[k, 2] - pts[i, 2]
-                nx = ay * bz - az * by
-                ny = az * bx - ax * bz
-                nz = ax * by - ay * bx
-                nn = (nx * nx + ny * ny + nz * nz) ** 0.5
-                if nn <= area_tol:
-                    continue
-                ux = nx / nn
-                uy = ny / nn
-                uz = nz / nn
-                h = ux * pts[i, 0] + uy * pts[i, 1] + uz * pts[i, 2]
-                above = False
-                below = False
-                for m in range(n):
-                    s = ux * pts[m, 0] + uy * pts[m, 1] + uz * pts[m, 2] - h
-                    if s > dist_tol:
-                        above = True
-                    elif s < -dist_tol:
-                        below = True
-                    if above and below:
-                        break
-                if above and below:
-                    continue
-                if above:
-                    ux, uy, uz, h = -ux, -uy, -uz, -h
-                mask = np.zeros(n, np.uint8)
-                cnt = 0
-                for m in range(n):
-                    s = ux * pts[m, 0] + uy * pts[m, 1] + uz * pts[m, 2] - h
-                    if -dist_tol <= s <= dist_tol:
-                        mask[m] = 1
-                        cnt += 1
-                if cnt < 3:
-                    continue
-                dup = False
-                for f in range(nf):
-                    same = True
-                    for m in range(n):
-                        if masks[f, m] != mask[m]:
-                            same = False
-                            break
-                    if same:
-                        dup = True
-                        break
-                if dup:
-                    continue
-                if nf >= cap:
-                    return planes[:nf], masks[:nf], False
-                planes[nf, 0] = ux
-                planes[nf, 1] = uy
-                planes[nf, 2] = uz
-                planes[nf, 3] = h
-                masks[nf] = mask
-                nf += 1
-    return planes[:nf], masks[:nf], True
-
-
-def _fan_volume_py(pts, cycles, offsets):
-    """6x the signed volume of the origin cones over oriented facet cycles.
-
-    ``cycles`` is the flat concatenation of all facet vertex cycles and
-    ``offsets`` the facet start indices (len F+1).
-    """
-    total = 0.0
-    for f in range(offsets.shape[0] - 1):
-        a = offsets[f]
-        b = offsets[f + 1]
-        i0 = cycles[a]
-        x0 = pts[i0, 0]
-        y0 = pts[i0, 1]
-        z0 = pts[i0, 2]
-        for c in range(a + 1, b - 1):
-            i1 = cycles[c]
-            i2 = cycles[c + 1]
-            x1 = pts[i1, 0]
-            y1 = pts[i1, 1]
-            z1 = pts[i1, 2]
-            x2 = pts[i2, 0]
-            y2 = pts[i2, 1]
-            z2 = pts[i2, 2]
-            total += (x0 * (y1 * z2 - z1 * y2)
-                      - y0 * (x1 * z2 - z1 * x2)
-                      + z0 * (x1 * y2 - y1 * x2))
-    return total
-
-
-if _HAVE_NUMBA:
-    _support_planes_jit = njit(cache=True)(_support_planes_py)
-    _fan_volume_jit = njit(cache=True)(_fan_volume_py)
-
-
-def _support_planes_numpy(pts, dist_tol, area_tol):
-    """Vectorized twin of the triple-loop backend (same scalar expressions)."""
+    pts = np.ascontiguousarray(pts, dtype=np.float64)
     n = pts.shape[0]
     trip = np.array(list(itertools.combinations(range(n), 3)), dtype=np.int64)
     p0 = pts[trip[:, 0]]
@@ -193,17 +70,19 @@ def _support_planes_numpy(pts, dist_tol, area_tol):
     return np.array(planes), np.array(masks), len(planes) <= 8 * n + 16
 
 
-def support_planes(pts, dist_tol, area_tol):
-    pts = np.ascontiguousarray(pts, dtype=np.float64)
-    if _HAVE_NUMBA:
-        return _support_planes_jit(pts, dist_tol, area_tol)
-    return _support_planes_numpy(pts, dist_tol, area_tol)
+def fan_volume(points, cycles):
+    """Signed volume of the origin cones over oriented facet cycles.
 
-
-def fan_volume(pts, cycles, offsets):
-    pts = np.ascontiguousarray(pts, dtype=np.float64)
-    cycles = np.ascontiguousarray(cycles, dtype=np.int64)
-    offsets = np.ascontiguousarray(offsets, dtype=np.int64)
-    if _HAVE_NUMBA:
-        return _fan_volume_jit(pts, cycles, offsets) / 6.0
-    return _fan_volume_py(pts, cycles, offsets) / 6.0
+    ``points`` are coordinate triples and ``cycles`` index into them; every
+    facet is fanned from its first corner.  Exact on ``Fraction``
+    coordinates.
+    """
+    total = 0
+    for cyc in cycles:
+        x0, y0, z0 = points[cyc[0]]
+        for a in range(1, len(cyc) - 1):
+            x1, y1, z1 = points[cyc[a]]
+            x2, y2, z2 = points[cyc[a + 1]]
+            total += (x0 * (y1 * z2 - z1 * y2) + y0 * (z1 * x2 - x1 * z2)
+                      + z0 * (x1 * y2 - y1 * x2))
+    return total / 6

@@ -269,7 +269,7 @@ def _cmd_deform(args):
         alpha = _parse_speed(args.speed, P)
     else:
         space = SH.admissible_space(P, theta)
-        alpha = OPT._nontrivial_speed(space)
+        alpha = SH.nontrivial_speed(space)
         if alpha is None:
             raise InputError("no non-trivial admissible speed for this "
                              "direction; pass --speed explicitly")
@@ -282,12 +282,7 @@ def _cmd_deform(args):
             c = float(c)
     else:
         c = SH.persistence_interval(P, theta, alpha)
-    K = args.samples
-    if kernel == G.RATIONAL:
-        c = Fraction(c)
-        ts = [-c + 2 * c * Fraction(i, K - 1) for i in range(K)]
-    else:
-        ts = [float(t) for t in np.linspace(-float(c), float(c), K)]
+    ts = SH.sample_grid(c, args.samples, kernel == G.RATIONAL)
     rows = []
     # Full re-hull per row, not SH.frozen_product: on frozen cycles the
     # volume is affine by construction and the CSV could not test it.

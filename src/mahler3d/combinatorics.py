@@ -143,29 +143,6 @@ def in_plane_direction(B, facet, tries=100):
         f"no in-plane witness direction for facet {facet} in budget")
 
 
-def _exact_in_trivial_span(B, alpha):
-    """Whether alpha = (w.x_i)_i for some w, decided exactly over Fractions
-    on the reduced pair-representative coordinates."""
-    k = B.n_pairs
-    rows = [[Fraction(B.vertices[i][0]), Fraction(B.vertices[i][1]),
-             Fraction(B.vertices[i][2]), Fraction(alpha.alpha[i])]
-            for i in range(k)]
-    r = 0
-    for c in range(3):
-        piv = next((i for i in range(r, k) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pr = rows[r]
-        for i in range(k):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c] / pr[c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], pr)]
-        r += 1
-    return all(row[3] == 0 for row in rows
-               if row[0] == 0 and row[1] == 0 and row[2] == 0)
-
-
 @dataclass(frozen=True)
 class MinimizerClassification:
     verdict: str
@@ -179,7 +156,8 @@ def _witness_evidence(side, B, rep):
     if residual != 0:
         raise InternalInconsistency(
             f"witness speed fails admissibility rows (residual {residual})")
-    if B.kernel == G.RATIONAL and _exact_in_trivial_span(B, rep.witness_speed):
+    if B.kernel == G.RATIONAL and not any(
+            SH._off_trivial(rep.space, [rep.witness_speed], exact=True)[0]):
         raise InternalInconsistency("witness speed is exactly trivial")
     return {
         "witness_side": side,

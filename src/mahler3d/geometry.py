@@ -14,7 +14,6 @@ pairing invariant structural rather than numerical.
 """
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -22,7 +21,7 @@ import numpy as np
 from . import _kernels, hull as _hull
 from .errors import (DegenerateInput, InputError, NumericalDegeneracy,
                      SingularMatrix, ToleranceConflict)
-from .hull import cross, dot, neg, sub
+from .hull import dot, neg, sub
 
 RATIONAL = "rational"
 DOUBLE = "double"
@@ -476,22 +475,7 @@ def volume(P):
 
     Exact Fraction in rational mode.
     """
-    lat = P.lattice
-    if P.kernel == RATIONAL:
-        total = Fraction(0)
-        for cyc in lat.facet_cycles:
-            v0 = P.vertices[cyc[0]]
-            for a in range(1, len(cyc) - 1):
-                v1 = P.vertices[cyc[a]]
-                v2 = P.vertices[cyc[a + 1]]
-                total += dot(v0, cross(v1, v2))
-        return total / 6
-    flat = []
-    offsets = [0]
-    for cyc in lat.facet_cycles:
-        flat.extend(cyc)
-        offsets.append(len(flat))
-    return _kernels.fan_volume(P.as_array(), np.array(flat), np.array(offsets))
+    return _kernels.fan_volume(P.vertices, P.lattice.facet_cycles)
 
 
 def linear_image(P, A):
@@ -542,21 +526,7 @@ class ConvexPolytope:
         return len(self.vertices)
 
     def volume(self):
-        if self.kernel == RATIONAL:
-            total = Fraction(0)
-            for cyc in self.lattice.facet_cycles:
-                v0 = self.vertices[cyc[0]]
-                for a in range(1, len(cyc) - 1):
-                    total += dot(v0, cross(self.vertices[cyc[a]],
-                                           self.vertices[cyc[a + 1]]))
-            return total / 6
-        arr = np.array(self.vertices, dtype=float)
-        flat = []
-        offsets = [0]
-        for cyc in self.lattice.facet_cycles:
-            flat.extend(cyc)
-            offsets.append(len(flat))
-        return _kernels.fan_volume(arr, np.array(flat), np.array(offsets))
+        return _kernels.fan_volume(self.vertices, self.lattice.facet_cycles)
 
     def centroid(self):
         n = len(self.vertices)

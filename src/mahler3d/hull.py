@@ -1,11 +1,11 @@
-"""Supporting-plane convex hull in R^3 with two arithmetic backends.
+"""Supporting-plane convex hull in R^3 over two arithmetic kernels.
 
 The same O(V^4) algorithm runs over exact ``Fraction`` coordinates (all sign
 tests exact, tolerances zero) or over float64 (sign tests against a scaled
-distance tolerance, with the triple loop delegated to the compiled kernels in
-``_kernels``).  Facets are discovered as maximal coplanar supporting sets;
-their polygons are recovered by a 2D monotone chain, which simultaneously
-classifies non-corner points as non-extreme.
+distance tolerance, with the triple loop vectorised by numpy in
+``_kernels.support_planes``).  Facets are discovered as maximal coplanar
+supporting sets; their polygons are recovered by a 2D monotone chain, which
+simultaneously classifies non-corner points as non-extreme.
 
 The algorithm is quartic in the vertex count and intended for the small
 polytopes this toolkit manipulates (V up to a few dozen), where robustness
@@ -14,7 +14,6 @@ and kernel-exactness matter more than asymptotics.
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -170,30 +169,8 @@ def _support_sets_exact(points):
     return facets
 
 
-def _span_2d(points, idxs, tol2):
-    """True if the points at idxs contain an affinely independent triple."""
-    idxs = sorted(idxs)
-    if len(idxs) < 3:
-        return False
-    base = points[idxs[0]]
-    u = None
-    for i in idxs[1:]:
-        d = sub(points[i], base)
-        if dot(d, d) > tol2:
-            u = d
-            break
-    if u is None:
-        return False
-    for i in idxs[1:]:
-        d = sub(points[i], base)
-        c = cross(u, d)
-        if dot(c, c) > tol2 * dot(u, u):
-            return True
-    return False
-
-
 def _support_sets_double(pts, dist_tol, area_tol):
-    """Supporting sets via the compiled kernels, merging tolerance splinters.
+    """Supporting sets via ``_kernels.support_planes``, merging tolerance splinters.
 
     Two discovered sets sharing an affinely independent triple describe the
     same facet plane and are unioned; their plane is refit from the member
@@ -212,7 +189,8 @@ def _support_sets_double(pts, dist_tol, area_tol):
         for a in range(len(sets)):
             for b in range(a + 1, len(sets)):
                 shared = sets[a] & sets[b]
-                if len(shared) >= 3 and _span_2d(tpoints, shared, tol2):
+                if len(shared) >= 3 and affine_dim(
+                        [tpoints[i] for i in sorted(shared)], False, tol2)[0] >= 2:
                     merged = sets[a] | sets[b]
                     member = np.array(sorted(merged))
                     sub_pts = pts[member]

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import geometry as G
+from . import _kernels, geometry as G
 from .errors import (CenterOutsideBody, DualityViolation, NonConvergence,
                      NumericalDegeneracy)
 from .hull import _canonical_cycle, _newell_normal, dot, neg, sub
@@ -152,8 +152,7 @@ def _fast_santalo_volume_fn(Q):
     if m0.min() <= 0:
         raise NumericalDegeneracy("vertex centroid not strictly interior")
     pts0 = z0[None, :] + normals / m0[:, None]
-    flat = []
-    starts = [0]
+    rings = []
     for v, ring in enumerate(lat.vertex_facet_cycles()):
         cyc = list(ring)
         nw = np.zeros(3)
@@ -163,10 +162,7 @@ def _fast_santalo_volume_fn(Q):
             nw += np.cross(p, q)
         if float(nw @ (verts[v] - z0)) < 0:
             cyc.reverse()
-        flat.extend(cyc)
-        starts.append(len(flat))
-    flat = np.array(flat)
-    starts = np.array(starts)
+        rings.append(cyc)
     margin_floor = 1e-12 * max(1.0, float(np.abs(offsets).max()))
 
     def f(z):
@@ -174,17 +170,7 @@ def _fast_santalo_volume_fn(Q):
         if m.min() <= margin_floor:
             return np.inf
         pts = z[None, :] + normals / m[:, None]
-        total = 0.0
-        for a in range(len(starts) - 1):
-            cyc = flat[starts[a]:starts[a + 1]]
-            v0 = pts[cyc[0]]
-            for b in range(1, len(cyc) - 1):
-                v1 = pts[cyc[b]] - v0
-                v2 = pts[cyc[b + 1]] - v0
-                total += (v0[0] * (v1[1] * v2[2] - v1[2] * v2[1])
-                          + v0[1] * (v1[2] * v2[0] - v1[0] * v2[2])
-                          + v0[2] * (v1[0] * v2[1] - v1[1] * v2[0]))
-        return abs(total) / 6.0
+        return abs(_kernels.fan_volume(pts.tolist(), rings))
 
     return f
 

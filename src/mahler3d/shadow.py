@@ -23,7 +23,7 @@ from .errors import (AffinenessViolation, ConvexityViolation,
                      DegenerateDeformation, DegenerateInput, InputError,
                      InternalInconsistency, NoPersistence,
                      NumericalDegeneracy, ParallelismAmbiguity)
-from .hull import DIST_TOL_REL, cross, dot, sub
+from .hull import DIST_TOL_REL, _project_axis, cross, dot, sub
 
 PARALLEL_TOL = 1e-14      # |theta.n| at or below this counts as parallel (double)
 AMBIGUITY_TOL = 1e-10     # band (PARALLEL_TOL, AMBIGUITY_TOL] is refused
@@ -150,7 +150,7 @@ def _facet_triple_and_bary(P, cycle):
         nrm = cross(sub(a3[1], a3[0]), sub(a3[2], a3[0]))
         if all(c == 0 for c in nrm):
             nrm = cross(sub(a3[1], a3[0]), sub(a3[3], a3[0]))
-        keep = _best_axes(nrm)
+        keep = _project_axis(nrm)
         p2 = [(v[keep[0]], v[keep[1]]) for v in a3]
         if P.kernel == G.RATIONAL:
             thresh = 0
@@ -177,7 +177,7 @@ def _facet_triple_and_bary(P, cycle):
         return triple, {}
 
     nrm = cross(sub(a3[triple[1]], a3[triple[0]]), sub(a3[triple[2]], a3[triple[0]]))
-    keep = _best_axes(nrm)
+    keep = _project_axis(nrm)
     p2 = [(v[keep[0]], v[keep[1]]) for v in a3]
     ax, ay = p2[triple[0]]
     bx, by = p2[triple[1]]
@@ -191,14 +191,6 @@ def _facet_triple_and_bary(P, cycle):
         l1 = 1 - l2 - l3
         bary[k] = (l1, l2, l3)
     return triple, bary
-
-
-def _best_axes(normal):
-    an = [abs(float(normal[0])), abs(float(normal[1])), abs(float(normal[2]))]
-    drop = an.index(max(an))
-    keep = [0, 1, 2]
-    keep.remove(drop)
-    return keep
 
 
 def _constraint_rows(P, theta):
@@ -340,25 +332,65 @@ def admissibility_residual(P, theta, alpha, rows=None):
     return worst
 
 
+def _off_trivial(S, speeds, exact):
+    """Each speed minus its projection onto the trivial span of ``S``, as a
+    list in reduced pair coordinates: exact Gram-Schmidt over Fractions with
+    ``exact``, float QR otherwise."""
+    k = S.base.n_pairs
+    if not exact:
+        T = np.stack([tv.as_array()[:k] for tv in S.trivial_basis], axis=1)
+        Qo, _ = np.linalg.qr(T)
+        return [(b - Qo @ (Qo.T @ b)).tolist()
+                for b in (sv.as_array()[:k] for sv in speeds)]
+    ortho = []
+
+    def reduce(v):
+        for u in ortho:
+            uv = sum(x * y for x, y in zip(u, v))
+            uu = sum(x * x for x in u)
+            v = [x - uv / uu * y for x, y in zip(v, u)]
+        return v
+
+    for tv in S.trivial_basis:
+        v = reduce(list(tv.alpha[:k]))
+        if any(v):
+            ortho.append(v)
+    return [reduce(list(sv.alpha[:k])) for sv in speeds]
+
+
 def is_trivial(S, alpha, tol=1e-9):
-    """Whether ``alpha`` lies in the span of the globally affine speeds,
-    up to least-squares residual <= tol x ||alpha||."""
-    a = speed_vector(S.base, alpha).as_array()
-    na = float(np.linalg.norm(a))
-    if na == 0:
-        return True
-    T = np.stack([tv.as_array() for tv in S.trivial_basis], axis=1)
-    coef = np.linalg.lstsq(T, a, rcond=None)[0]
-    r = float(np.linalg.norm(T @ coef - a))
-    return r <= tol * na
+    """Whether ``alpha`` lies in the span of the globally affine speeds, up
+    to a float residual <= tol x ||alpha||."""
+    alpha = speed_vector(S.base, alpha)
+    r = _off_trivial(S, [alpha], False)[0]
+    na = float(np.linalg.norm(alpha.as_array()[:S.base.n_pairs]))
+    return float(np.linalg.norm(r)) <= tol * na
 
 
 def nontrivial_component(S, alpha):
     """The component of ``alpha`` orthogonal to the trivial span (float)."""
-    a = speed_vector(S.base, alpha).as_array()
-    T = np.stack([tv.as_array() for tv in S.trivial_basis], axis=1)
-    Q, _ = np.linalg.qr(T)
-    return a - Q @ (Q.T @ a)
+    r = _off_trivial(S, [speed_vector(S.base, alpha)], False)[0]
+    return np.array(r + [-x for x in r])
+
+
+def nontrivial_speed(S):
+    """The largest projection of the admissible basis of ``S`` off the
+    trivial span, scaled to max |alpha_i| = 1, or None when the space is
+    entirely trivial.
+
+    Exact on the rational kernel, so the speed is itself exactly admissible;
+    on the double kernel a projection counts only above norm 1e-8.
+    """
+    exact = S.base.kernel == G.RATIONAL
+    best, best_n = None, 0 if exact else 1e-8
+    for r in _off_trivial(S, S.basis, exact):
+        n = sum(x * x for x in r) if exact else float(np.linalg.norm(r))
+        if n > best_n:
+            best, best_n = r, n
+    if best is None:
+        return None
+    mx = max(abs(x) for x in best)
+    return _lift(S.base, [x / mx for x in best])
 
 
 def deform(P, theta, alpha, t):
@@ -556,6 +588,15 @@ def frozen_product(P, theta, alpha):
     return f
 
 
+def sample_grid(c, samples, exact):
+    """``samples`` evenly spaced t from -c to c: exact Fractions with
+    ``exact``, floats otherwise."""
+    if exact:
+        c = Fraction(c)
+        return [-c + 2 * c * Fraction(i, samples - 1) for i in range(samples)]
+    return [float(t) for t in np.linspace(-float(c), float(c), samples)]
+
+
 def check_volume_affine(S, samples=9):
     """Sample |P_t| on [-c, c] and verify t -> volume is affine.
 
@@ -569,11 +610,7 @@ def check_volume_affine(S, samples=9):
         raise InputError("need at least 3 samples")
     P, theta, alpha, c = S.base, S.theta, S.alpha, S.c
     exact = P.kernel == G.RATIONAL
-    if exact:
-        cq = Fraction(c)
-        ts = [-cq + 2 * cq * i / (samples - 1) for i in range(samples)]
-    else:
-        ts = list(np.linspace(-c, c, samples))
+    ts = sample_grid(c, samples, exact)
     vols = [G.volume(deform(P, theta, alpha, t)) for t in ts]
 
     tf = np.array([float(t) for t in ts])
@@ -609,11 +646,7 @@ def check_inverse_polar_convexity(S, samples=9):
         raise InputError("need at least 5 samples")
     P, theta, alpha, c = S.base, S.theta, S.alpha, S.c
     exact = P.kernel == G.RATIONAL
-    if exact:
-        cq = Fraction(c)
-        ts = [-cq + 2 * cq * i / (samples - 1) for i in range(samples)]
-    else:
-        ts = list(np.linspace(-c, c, samples))
+    ts = sample_grid(c, samples, exact)
     fs = []
     for t in ts:
         Q = deform(P, theta, alpha, t)

@@ -1,83 +1,14 @@
-import json
-import os
-import subprocess
-import sys
-
-import numpy as np
 import pytest
 
-import mahler3d as M
 from mahler3d import _kernels
 
 
 def test_backend_reports_a_name():
-    assert _kernels.backend_name() in ("numba", "numpy")
+    assert _kernels.backend_name() == "numpy"
 
 
-def test_support_planes_parity():
-    rng = np.random.default_rng(12)
-    pts = rng.normal(size=(9, 3))
-    pts = np.vstack([pts, -pts])
-    pts /= np.linalg.norm(pts, axis=1)[:, None]
-    planes_a, masks_a, ok_a = _kernels._support_planes_py(pts, 1e-9, 1e-12)
-    planes_b, masks_b, ok_b = _kernels._support_planes_numpy(pts, 1e-9, 1e-12)
-    planes_c, masks_c, ok_c = _kernels.support_planes(pts, 1e-9, 1e-12)
-    assert ok_a and ok_b and ok_c
-    # the vectorized twin evaluates the same scalar expressions per triple,
-    # so agreement is exact, not approximate
-    assert np.array_equal(masks_a, masks_b)
-    assert np.array_equal(planes_a, planes_b)
-    assert np.array_equal(masks_a, masks_c)
-    assert np.array_equal(planes_a, planes_c)
-
-
-def test_fan_volume_parity(cube_d):
-    lat = cube_d.lattice
-    cycles = np.array([v for f in lat.I2 for v in lat.facet_cycles[f]],
-                      dtype=np.int64)
-    offsets = np.zeros(lat.F + 1, dtype=np.int64)
-    for i, f in enumerate(lat.I2):
-        offsets[i + 1] = offsets[i] + len(lat.facet_cycles[f])
-    pts = cube_d.as_array()
-    a = _kernels._fan_volume_py(pts, cycles, offsets)
-    b = _kernels.fan_volume(pts, cycles, offsets)  # wrapper divides by 6
-    assert a / 6.0 == b
-    assert abs(b) == pytest.approx(8.0, rel=1e-14)
-
-
-def test_env_flag_selects_numpy_backend():
-    prog = ("import mahler3d as M; from mahler3d import _kernels; "
-            "cube = M.build_sym_polytope([(1,1,1),(1,1,-1),(1,-1,1),"
-            "(-1,1,1)], kernel=M.DOUBLE); "
-            "print(_kernels.backend_name(), float(M.volume(cube)))")
-    env = dict(os.environ, MAHLER3D_DISABLE_NUMBA="1")
-    out = subprocess.run([sys.executable, "-c", prog], env=env,
-                         capture_output=True, text=True, check=True)
-    name, vol = out.stdout.split()
-    assert name == "numpy"
-    assert float(vol) == pytest.approx(8.0, rel=1e-12)
-
-
-def test_backends_agree_on_random_bodies():
-    prog = """
-import json
-import numpy as np
-import mahler3d as M
-rng = np.random.default_rng(31)
-out = []
-for pairs in (4, 6, 8):
-    pts = rng.normal(size=(pairs, 3))
-    pts /= np.linalg.norm(pts, axis=1)[:, None]
-    P = M.build_sym_polytope([tuple(map(float, p)) for p in pts],
-                             kernel=M.DOUBLE)
-    lat = P.lattice
-    out.append([lat.V, lat.E, lat.F, float(M.volume(P))])
-print(json.dumps(out))
-"""
-    results = {}
-    for disable in ("0", "1"):
-        env = dict(os.environ, MAHLER3D_DISABLE_NUMBA=disable)
-        r = subprocess.run([sys.executable, "-c", prog], env=env,
-                           capture_output=True, text=True, check=True)
-        results[disable] = json.loads(r.stdout)
-    assert results["0"] == results["1"]
+def test_fan_volume_parity(cube_r, cube_d):
+    exact = _kernels.fan_volume(cube_r.vertices, cube_r.lattice.facet_cycles)
+    assert exact == 8
+    approx = _kernels.fan_volume(cube_d.vertices, cube_d.lattice.facet_cycles)
+    assert approx == pytest.approx(8.0, rel=0, abs=1e-14)

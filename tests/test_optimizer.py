@@ -104,6 +104,20 @@ def test_corpus_verify_cube_fixture(cube_d):
     assert not summary["alarm"]
 
 
+def test_corpus_verify_thin_affine_octahedron():
+    # A thin affine octahedron (det 6e-6) whose double-kernel product
+    # rounds to 10.66666666470405, below 32/3 - 1e-9; its exact product is
+    # 32/3, so it must not raise the alarm.
+    reps = [(0.42158398987781437, 0.5397692010958358, 0.7286399309858511),
+            (0.5843260741857422, 0.5108817278784602, 0.6305258909407268),
+            (0.7944886333272518, 0.42792949575784905, 0.4308876398485207)]
+    P = M.build_sym_polytope(reps, kernel=M.DOUBLE)
+    assert float(M.volume_product(P).product) < float(Fraction(32, 3)) - 1e-9
+    summary = M.corpus_verify(1, bodies=[P], dirs_per_body=0)
+    assert summary["min_product"] == float(Fraction(32, 3))
+    assert not summary["alarm"]
+
+
 def test_corpus_verify_random_batch():
     summary = M.corpus_verify(20, n_pairs_max=6, seed=77)
     assert summary["count"] == 20

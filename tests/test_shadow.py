@@ -74,6 +74,12 @@ def test_nontrivial_certification_cubocta(cubocta_r):
     assert extra
     comp = M.nontrivial_component(S, extra[0])
     assert np.abs(np.asarray(comp, dtype=float)).max() > 1e-6
+    alpha = M.shadow.nontrivial_speed(S)
+    assert all(isinstance(a, Fraction) for a in alpha.alpha)
+    assert M.admissibility_residual(cubocta_r, th, alpha) == 0
+    assert max(abs(a) for a in alpha.alpha) == 1
+    assert any(M.shadow._off_trivial(S, [alpha], exact=True)[0])
+    assert not M.is_trivial(S, alpha)
 
 
 def test_deform_identity_at_zero(cubocta_r):
