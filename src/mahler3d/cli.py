@@ -306,7 +306,6 @@ def _cmd_optimize(args):
                                            kernel=kernel)
     cfg = OPT.DescentConfig(max_vertices=args.n_max,
                             direction_budget=args.direction_budget,
-                            line_search_samples=args.line_search_samples,
                             termination_tol=args.termination_tol,
                             seed=args.seed, max_iters=args.max_iters)
     tr = OPT.descend(P0, cfg)
@@ -435,7 +434,6 @@ def _build_parser():
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--max-iters", type=int, default=40)
     sp.add_argument("--direction-budget", type=int, default=8)
-    sp.add_argument("--line-search-samples", type=int, default=24)
     sp.add_argument("--termination-tol", type=float, default=1e-9)
     sp.add_argument("--csv", default=None, help="per-step trajectory CSV")
     _add_common(sp, "double")

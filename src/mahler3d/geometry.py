@@ -461,8 +461,22 @@ def build_sym_polytope(points, tol=None, kernel=RATIONAL):
 
 def from_representatives(reps, kernel, dist_tol=None):
     """SymPolytope from already-symmetrized representative coordinates,
-    preserving their order (labels survive when no vertex drops out)."""
-    return _assemble(list(reps), kernel, keep_order=True, dist_tol=dist_tol)
+    preserving their order (labels survive when no vertex drops out).
+
+    Representatives that coincide up to sign, as when a deformation moves
+    one vertex onto another or onto its antipode, merge into the first:
+    exactly on the rational kernel, within ``build_sym_polytope``'s
+    1e-9 x scale on the double kernel.
+    """
+    tol2 = 0
+    if kernel == DOUBLE:
+        tol2 = (1e-9 * max(1.0, max(abs(c) for p in reps for c in p))) ** 2
+    kept = []
+    for p in reps:
+        if all(dot(d, d) > tol2 for q in kept
+               for d in (sub(p, q), sub(p, neg(q)))):
+            kept.append(p)
+    return _assemble(kept, kernel, keep_order=True, dist_tol=dist_tol)
 
 
 def face_lattice(P):

@@ -2,12 +2,16 @@
 vertex budget, using certified non-trivial admissible speeds as moves.
 
 Each iteration assembles candidate directions, extracts a non-trivial speed
-from the admissible space of the current body or of its polar, certifies a
-persistence interval, and line-searches the product along the deformation.
-Polar-side moves re-polarize afterwards, which keeps the vertex count within
-budget because the deformation preserves the polar's facet count.  Descent
-stops at a terminal classification (Parallelepiped or AffineOctahedron), or
-when no candidate improves the product beyond the termination tolerance.
+from the admissible space of the current body or of its polar, and scores
+the deformation at its two lattice breakpoints, where the product takes its
+minimum over the persistence interval.  The best improving candidate moves
+to its breakpoint, where a vertex meets a facet plane and the lattice
+changes.  Polar-side moves re-polarize afterwards.  A breakpoint only
+merges facets or drops vertices of the body it deforms, so the vertex count
+(the polar's facet count) never grows; every move is still checked against
+the budget.  Descent stops at a terminal classification (Parallelepiped or
+AffineOctahedron), or when no candidate improves the product beyond the
+termination tolerance.
 
 The optimizer is heuristic: failing to find an improving move is evidence,
 not proof, of local minimality, and the trace metadata says so.
@@ -32,7 +36,6 @@ _DIRECTION_MODES = ("mixed", "random", "facet")
 class DescentConfig:
     max_vertices: int = 12
     direction_budget: int = 8
-    line_search_samples: int = 24
     termination_tol: float = 1e-9
     seed: int = 0
     max_iters: int = 40
@@ -43,8 +46,6 @@ class DescentConfig:
             raise InputError("max_vertices must be an even integer >= 6")
         if self.direction_mode not in _DIRECTION_MODES:
             raise InputError(f"direction_mode must be one of {_DIRECTION_MODES}")
-        if self.line_search_samples < 4:
-            raise InputError("line_search_samples must be at least 4")
 
 
 @dataclass(frozen=True)
@@ -148,9 +149,6 @@ def _candidate_directions(P, Q, cfg, rng):
     return uniq
 
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
 def _float_speed(alpha):
     return SH.SpeedVector(tuple(float(x) for x in alpha.alpha))
 
@@ -173,70 +171,39 @@ def _snap_iterate(P):
     return P
 
 
-def _line_search(B, theta, alpha, c, samples, tol):
-    """Minimize the volume product along the deformation over [-c, c].
+def _line_search(B, theta, alpha, tol):
+    """Score the deformation at its lattice breakpoints.
 
-    [-c, c] lies inside a persistence interval, so the product is read from
-    the frozen-lattice evaluator instead of re-hulling at every t.  A uniform
-    grid (always containing t = 0), evaluated in one vectorised call, seeds a
-    golden-section refinement around the best grid point; ties break toward
-    t = 0, since a flat product along a system through a minimizer is
-    expected and wandering along the valley is pointless.  Returns (t,
-    product at t, product spread over the grid).
+    On a fixed lattice |P_t| is affine and 1/|P_t polar| convex in t, so the
+    product is quasi-concave on the persistence interval and takes its
+    minimum at an endpoint: one of the breakpoints of ``persistence_root``.
+    The frozen-lattice evaluator reads t = 0 and the breakpoints (a side
+    with no root is not a move) in one call.  Returns (t, product at t,
+    largest finite |product change| at a breakpoint), with t the lower
+    breakpoint when it improves on t = 0 by more than ``tol``, and t = 0
+    otherwise.
     """
-    product = SH.frozen_product(B, theta, alpha)
-    ts = SH.sample_grid(c, samples, False)
-    if 0.0 not in ts:
-        ts.append(0.0)
-    cache = dict(zip(ts, product(ts).tolist()))
-
-    def g(t):
-        if t not in cache:
-            cache[t] = float(product(t)[0])
-        return cache[t]
-
-    vals = [(g(t), abs(t), t) for t in ts]
-    finite = [v[0] for v in vals if math.isfinite(v[0])]
-    spread = (max(finite) - min(finite)) if finite else 0.0
-    vals.sort()
-    t_best = vals[0][2]
-    h = 2 * c / (samples - 1)
-    lo = max(-c, t_best - h)
-    hi = min(c, t_best + h)
-
-    a, b = lo, hi
-    x1 = b - _INV_PHI * (b - a)
-    x2 = a + _INV_PHI * (b - a)
-    f1, f2 = g(x1), g(x2)
-    for _ in range(30):
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INV_PHI * (b - a)
-            f1 = g(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INV_PHI * (b - a)
-            f2 = g(x2)
-        if b - a < 1e-12 * max(1.0, c):
-            break
-    t_ref = x1 if f1 <= f2 else x2
-    candidates = [(g(t), abs(t), t) for t in (t_best, t_ref, 0.0)]
-    candidates.sort()
-    best_f, _, best_t = candidates[0]
-    if best_f >= g(0.0) - tol:
-        best_t, best_f = 0.0, g(0.0)
-    return best_t, best_f, spread
+    ts = [0.0] + [float(r) for r in SH.persistence_root(B, theta, alpha)
+                  if r is not None]
+    vals = SH.frozen_product(B, theta, alpha)(ts).tolist()
+    change = max((abs(v - vals[0]) for v in vals if math.isfinite(v)),
+                 default=0.0)
+    best_f, best_t = min(zip(vals, ts))
+    if best_f >= vals[0] - tol:
+        best_t, best_f = 0.0, vals[0]
+    return best_t, best_f, change
 
 
 def descend(P0, cfg=None):
     """Greedy certified descent of the volume product from ``P0``.
 
-    Every accepted move strictly decreases the product by more than the
-    termination tolerance and stays inside a certified persistence interval,
-    so the vertex count never drifts.  The trace records each move, the final
+    Every accepted move goes to a lattice breakpoint of its deformation, is
+    re-hulled there, and strictly decreases the true product by more than
+    the termination tolerance; on the rational kernel the breakpoint is the
+    exact root on the exact body.  The trace records each move, the final
     classification, and the gap to 32/3; it also flags the suspicious stall
-    where a non-trivial speed with a non-constant product exists but no
-    sampled t improves.
+    where a non-trivial speed has a breakpoint product different from the
+    current one, but neither breakpoint improves it.
     """
     cfg = cfg or DescentConfig()
     N = cfg.max_vertices
@@ -281,12 +248,10 @@ def descend(P0, cfg=None):
             Bp = proxies[side]
             ap = _float_speed(alpha) if exact else alpha
             try:
-                c = SH.persistence_interval(Bp, th, ap)
-            except (NoPersistence, NumericalDegeneracy):
+                t, prod, change = _line_search(Bp, th, ap, tol)
+            except NumericalDegeneracy:
                 continue
-            t, prod, spread = _line_search(Bp, th, ap, c,
-                                           cfg.line_search_samples, tol)
-            if spread > max(tol, 1e-9 * before):
+            if change > max(tol, 1e-9 * before):
                 saw_variation = True
             if prod < before - tol:
                 scored.append(((prod, abs(t), idx), side, B, th, alpha, t))
@@ -295,10 +260,12 @@ def descend(P0, cfg=None):
         for _, side, B, th, alpha, t in scored:
             if exact:
                 try:
-                    c_exact = SH.persistence_interval(B, th, alpha)
+                    t_minus, t_plus = SH.persistence_root(B, th, alpha)
                 except NoPersistence:
                     continue
-                t = max(-c_exact, min(c_exact, t))
+                t = t_plus if t > 0 else t_minus
+                if t is None:
+                    continue
             try:
                 moved = SH.deform(B, th, alpha, t)
             except (DegenerateDeformation, NumericalDegeneracy):
@@ -333,15 +300,15 @@ def descend(P0, cfg=None):
                  "evidence, not proof, of local minimality"),
         "config": {"max_vertices": cfg.max_vertices,
                    "direction_budget": cfg.direction_budget,
-                   "line_search_samples": cfg.line_search_samples,
                    "termination_tol": cfg.termination_tol,
                    "seed": cfg.seed, "max_iters": cfg.max_iters,
                    "direction_mode": cfg.direction_mode},
     }
     if stall:
-        meta["stall_note"] = ("non-trivial speed with non-constant product "
-                              "found but no sampled t improved; a strict "
-                              "local minimum cannot look like this")
+        meta["stall_note"] = ("non-trivial speed found whose breakpoint "
+                              "product differs from the current one, but "
+                              "no breakpoint improved it; a strict local "
+                              "minimum cannot look like this")
     return DescentTrace(steps=tuple(steps), final=P,
                         final_classification=final_cls, final_gap=gap,
                         stall_with_nontrivial_speed=stall, meta=meta)

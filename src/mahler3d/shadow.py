@@ -450,23 +450,24 @@ def _lattice_holds(P, theta, alpha, t):
 
 
 def persistence_root(P, theta, alpha):
-    """The signed t nearest 0 at which the labeled face lattice of the
-    deformation stops being certified, or None when no such t exists.
+    """The breakpoints ``(t_minus, t_plus)``, t_minus < 0 < t_plus, nearest
+    0 on each side at which the labeled face lattice of the deformation
+    stops being certified; a side where nothing binds reads None.
 
     For each facet f (one per antipodal pair) with first cycle corners
     a, b, c and every vertex j, the support function
     s_fj(t) = det[y_b - y_a, y_c - y_a, y_j - y_a], y_i = x_i + t alpha_i u,
     is exactly affine, s0 + t s1: every displacement is parallel to u, so
     each term with two u-columns vanishes.  The lattice holds while every
-    incident s_fj stays 0 and every other keeps its sign.  A corner of f that
-    straightens puts a neighbour on the plane of an adjacent facet, whose
-    function then vanishes, so corners need no separate test.
+    incident s_fj stays 0 and every other keeps its sign, so each
+    non-incident function bounds the side of its zero -s0/s1.  A corner of f
+    that straightens puts a neighbour on the plane of an adjacent facet,
+    whose function then vanishes, so corners need no separate test.
 
-    Rational kernel: exact roots -s0/s1, and an incident vertex with s1 != 0
-    raises NoPersistence.  Double kernel: non-incident functions are solved
-    for the margin 2 dist_tol |n| (at most half their value) instead of 0, and
-    an incident vertex contributes the positive drift bound dist_tol |n| / |s1|
-    within which it stays on its facet plane.
+    Rational kernel: the roots are exact Fractions, and an incident vertex
+    with s1 != 0 raises NoPersistence.  Double kernel: an incident vertex
+    bounds both sides by the drift dist_tol |n| / |s1| within which it
+    stays on its facet plane.
     """
     theta = direction(theta)
     alpha = speed_vector(P, alpha)
@@ -475,7 +476,7 @@ def persistence_root(P, theta, alpha):
     X, al, lat = P.vertices, alpha.alpha, P.lattice
     if not exact:
         dist_tol = DIST_TOL_REL * max(1.0, max(abs(c) for v in X for c in v))
-    best = None
+    lo = hi = None
     for f in lat.I2:
         if lat.opposite_facet[f] < f:
             continue  # the antipodal facet gives the same functions negated
@@ -486,7 +487,6 @@ def persistence_root(P, theta, alpha):
         nu = dot(n, u)
         db, dc = al[b] - al[a], al[c] - al[a]
         w = tuple(db * p + dc * q for p, q in zip(cross(u, C), cross(B, u)))
-        margin = 0 if exact else dist_tol * dot(n, n) ** 0.5
         for j in range(P.V):
             J = sub(X[j], X[a])
             s1 = dot(w, J) + (al[j] - al[a]) * nu
@@ -497,32 +497,35 @@ def persistence_root(P, theta, alpha):
                     raise NoPersistence(
                         f"vertex {j} leaves the plane of facet {f}; the "
                         "speed is not admissible for this direction")
-                root = margin / abs(s1)
+                drift = dist_tol * dot(n, n) ** 0.5 / abs(s1)
+                roots = (-drift, drift)
             else:
-                s0 = dot(n, J)
-                m = min(2 * margin, abs(s0) / 2)
-                root = ((m if s0 > 0 else -m) - s0) / s1
-            if best is None or abs(root) < abs(best):
-                best = root
-    return best
+                roots = (-dot(n, J) / s1,)
+            for r in roots:
+                if r < 0:
+                    lo = r if lo is None else max(lo, r)
+                else:
+                    hi = r if hi is None else min(hi, r)
+    return lo, hi
 
 
 def persistence_interval(P, theta, alpha, c_max=DEFAULT_C_MAX):
     """A certified half-width c > 0 on which the deformation keeps the
     labeled face lattice of ``P``.
 
-    The width is analytic: c = 0.9 |persistence_root|, capped at ``c_max``
-    (``c_max`` itself when no support function ever binds, as for a zero
-    speed).  As an independent check the body is re-hulled at t = +-c; while
-    the lattice differs there, c halves, and NoPersistence is raised once it
-    falls below 1e-12, which signals a non-admissible speed.
+    The width is analytic: c = 0.9 min(|t_minus|, |t_plus|) over the
+    breakpoints of ``persistence_root``, capped at ``c_max`` (``c_max``
+    itself when no support function ever binds, as for a zero speed).  As
+    an independent check the body is re-hulled at t = +-c; while the lattice
+    differs there, c halves, and NoPersistence is raised once it falls below
+    1e-12, which signals a non-admissible speed.
     """
     theta = direction(theta)
     alpha = speed_vector(P, alpha)
-    root = persistence_root(P, theta, alpha)
     c = float(c_max)
-    if root is not None:
-        c = min(0.9 * abs(float(root)), c)
+    for root in persistence_root(P, theta, alpha):
+        if root is not None:
+            c = min(0.9 * abs(float(root)), c)
     while c >= 1e-12:
         if _lattice_holds(P, theta, alpha, c) and \
                 _lattice_holds(P, theta, alpha, -c):
@@ -537,12 +540,14 @@ def frozen_product(P, theta, alpha):
     """Closure ts -> array of |P_t| |P_t polar| over a vector of t, with the
     labeled face lattice of the double-kernel body ``P`` held fixed.
 
-    Valid inside a persistence interval, where the lattice cannot change:
-    the vertices are X + t alpha u; facet normals come from Newell's formula
-    over the fixed cycles, normalised, and each offset is the mean of n.x
-    over its cycle, as ``hull_3d`` builds them; the polar vertices are n/h;
-    both volumes are origin fans, over the facet cycles and over the vertex
-    rings (the polar's facet cycles).  A t where an offset is not positive
+    Valid on the closed interval between the breakpoints of
+    ``persistence_root``: the lattice cannot change inside it, and at a
+    breakpoint the body is the limit of the frozen one.  The vertices are
+    X + t alpha u; facet normals come from Newell's formula over the fixed
+    cycles, normalised, and each offset is the mean of n.x over its cycle,
+    as ``hull_3d`` builds them; the polar vertices are n/h; both volumes
+    are origin fans, over the facet cycles and over the vertex rings (the
+    polar's facet cycles).  A t where an offset is not positive
     reads +inf.  On fixed cycles the volume is affine by construction, so
     the trajectory checkers deliberately re-hull instead of using this.
     """
@@ -641,7 +646,7 @@ def check_inverse_polar_convexity(S, samples=9):
     """Sample f(t) = 1/|P_t polar| on [-c, c] and verify convexity through
     second differences (exact nonnegativity on the rational kernel, else
     >= -1e-8 x max|f|).  Every sample is a full re-hull, independent of the
-    frozen-lattice evaluator that the line search relies on."""
+    frozen-lattice evaluator that the descent scores its moves with."""
     if samples < 5:
         raise InputError("need at least 5 samples")
     P, theta, alpha, c = S.base, S.theta, S.alpha, S.c

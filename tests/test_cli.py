@@ -152,13 +152,14 @@ def test_optimize_trace_and_csv(capsys, tmp_path, cubocta_json):
                        "--out", out_json, "--csv", out_csv)
     assert rc == 0
     data = json.load(open(out_json))
-    assert len(data["steps"]) == 2
-    prods = [float(s["product_after"]) for s in data["steps"]]
-    assert prods[0] > prods[1]
-    assert float(data["final_gap"]) >= -1e-6
+    for s in data["steps"]:
+        assert float(s["product_after"]) < float(s["product_before"]) - 1e-9
+    assert data["meta"]["terminated_by"] == "classification"
+    assert data["final_classification"]["verdict"] == "AffineOctahedron"
+    assert abs(float(data["final_gap"])) <= 1e-12
     lines = open(out_csv).read().splitlines()
     rows = list(csv.DictReader(lines[1:]))
-    assert [r["step"] for r in rows] == ["0", "1", "2"]
+    assert [r["step"] for r in rows] == ["0", "1"]
     assert rows[0]["move_side"] == ""
     assert rows[1]["move_side"] in ("primal", "polar")
 

@@ -15,8 +15,6 @@ def test_config_validation():
         M.DescentConfig(max_vertices=7)
     with pytest.raises(InputError):
         M.DescentConfig(direction_mode="sideways")
-    with pytest.raises(InputError):
-        M.DescentConfig(line_search_samples=2)
 
 
 def test_random_polytope_counts_and_determinism():
@@ -55,12 +53,12 @@ def test_descend_rejects_oversized_start(corpus50):
 
 def test_descend_cubocta_improves_monotonically(cubocta_d):
     tr = M.descend(cubocta_d, M.DescentConfig(seed=0, max_iters=6))
-    assert len(tr.steps) >= 3
     assert tr.steps[0].product_before == pytest.approx(40 / 3, rel=1e-9)
     for s in tr.steps:
-        assert s.product_after <= s.product_before - 1e-9
-    assert tr.final_gap < 0.5
-    assert tr.final_gap >= -1e-6
+        assert s.product_after < s.product_before - 1e-9
+    assert tr.meta["terminated_by"] == "classification"
+    assert tr.final_classification.verdict == M.AFFINE_OCTAHEDRON
+    assert abs(tr.final_gap) <= 1e-12
 
 
 def test_descend_stays_in_vertex_class(cubocta_d):
@@ -86,6 +84,27 @@ def test_descend_rational_bit_identical():
     assert tr1.final.vertices == tr2.final.vertices
     assert tr1.final_gap == tr2.final_gap
     assert tr1.final.kernel == M.RATIONAL
+
+
+@pytest.mark.parametrize("start,seed", [("cubocta", 5), ("random1", 1),
+                                        ("random2", 2)])
+def test_descend_exact_ends_at_mahler_bound(start, seed):
+    # Exact moves land on exact breakpoints, so the descent is a chain of
+    # exact products ending on exactly 32/3 with a terminal verdict.
+    if start == "cubocta":
+        P = M.build_sym_polytope(CUBOCTA_REPS, kernel=M.RATIONAL)
+    else:
+        D = M.random_symmetric_polytope(4, seed=seed)
+        den = 1 << 20
+        P = M.build_sym_polytope(
+            [tuple(Fraction(round(x * den), den) for x in D.vertices[i])
+             for i in D.rep_indices()], kernel=M.RATIONAL)
+    tr = M.descend(P, M.DescentConfig(seed=seed, max_iters=8))
+    assert tr.final.kernel == M.RATIONAL
+    assert M.volume_product(tr.final).product == Fraction(32, 3)
+    assert tr.final_classification.verdict in (M.PARALLELEPIPED,
+                                               M.AFFINE_OCTAHEDRON)
+    assert tr.meta["terminated_by"] == "classification"
 
 
 def test_descend_seeded_random_start():

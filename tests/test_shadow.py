@@ -9,6 +9,7 @@ from mahler3d.errors import (DegenerateDeformation, InputError, NoPersistence,
                              NumericalDegeneracy, ParallelismAmbiguity)
 
 import oracles
+from conftest import CUBOCTA_REPS
 
 
 def test_direction_normalizes_and_rejects_zero():
@@ -97,6 +98,26 @@ def test_deform_preserves_lattice_small_t(cubocta_d):
         assert M.same_labeled_lattice(Q.lattice, cubocta_d.lattice)
 
 
+@pytest.mark.parametrize("kernel", [M.RATIONAL, M.DOUBLE])
+def test_deform_to_breakpoint_merges_vertices(kernel):
+    # Both breakpoints of this system move vertex 1 onto -vertex 5; the
+    # merged body is the one build_sym_polytope makes of the same points.
+    P = M.build_sym_polytope(CUBOCTA_REPS, kernel=kernel)
+    space = M.admissible_space(P, (1, 1, 0))
+    alpha = M.nontrivial_speed(space)
+    for t in M.persistence_root(P, space.theta, alpha):
+        Q = M.deform(P, space.theta, alpha, t)
+        R = M.build_sym_polytope([Q.vertices[i] for i in Q.rep_indices()],
+                                 kernel=kernel)
+        assert Q.V == R.V == 8
+        prod = M.volume_product(Q).product
+        assert prod == pytest.approx(float(M.volume_product(R).product),
+                                     rel=1e-12)
+        assert prod == pytest.approx(100 / 9, rel=1e-12)
+        if kernel == M.RATIONAL:
+            assert prod == Fraction(100, 9)
+
+
 def test_deform_collapse_raises(cube_r):
     # alpha_i = x_i with theta = -e1 flattens the body at t = 1
     th = M.direction((-1, 0, 0))
@@ -126,8 +147,9 @@ def test_persistence_root_cube_expansion_exact(cube_r):
     # diag(1 + t, 1, 1) collapses the cube at t = -1 and nowhere else
     th = M.direction((1, 0, 0))
     alpha = M.trivial_speed(cube_r, (1, 0, 0))
-    root = M.persistence_root(cube_r, th, alpha)
-    assert isinstance(root, Fraction) and root == -1
+    t_minus, t_plus = M.persistence_root(cube_r, th, alpha)
+    assert isinstance(t_minus, Fraction) and t_minus == -1
+    assert t_plus is None
 
 
 def _lattice_kept(P, th, alpha, t):
@@ -160,11 +182,12 @@ def test_persistence_root_rational_tight(cubocta_r):
         rq = M.dimension_bound(P, theta)
         th, alpha = rq.theta, rq.witness_speed
         assert alpha is not None
-        root = M.persistence_root(P, th, alpha)
-        assert isinstance(root, Fraction) and root != 0
-        for t in ((1 - eps) * abs(root), -(1 - eps) * abs(root)):
-            assert _lattice_kept(P, th, alpha, t)
-        assert not _lattice_kept(P, th, alpha, (1 + eps) * root)
+        t_minus, t_plus = M.persistence_root(P, th, alpha)
+        assert isinstance(t_minus, Fraction) and t_minus < 0
+        assert isinstance(t_plus, Fraction) and t_plus > 0
+        for root in (t_minus, t_plus):
+            assert _lattice_kept(P, th, alpha, (1 - eps) * root)
+            assert not _lattice_kept(P, th, alpha, root)
 
 
 def test_frozen_product_matches_rehull(corpus50):
@@ -174,6 +197,7 @@ def test_frozen_product_matches_rehull(corpus50):
         return B.circumradius() ** 3 / float(M.volume(B))
 
     rng = np.random.default_rng(23)
+    breakpoints = 0
     for P in corpus50[:12]:
         for B in (P, M.polar(P)):
             th = M.direction(tuple(float(x) for x in rng.normal(size=3)))
@@ -189,6 +213,21 @@ def test_frozen_product_matches_rehull(corpus50):
                 ref = float(M.volume_product(Q).product)
                 tol = 1e-12 * max(1.0, kappa(Q) + kappa(M.polar(Q)))
                 assert abs(g - ref) <= tol * ref
+            # At a breakpoint the lattice changes, but the body is the limit
+            # of the frozen one, so the products still agree.  A trivial
+            # speed's breakpoint can flatten the body; nothing to compare.
+            ts = [float(r) for r in M.persistence_root(B, th, alpha)
+                  if r is not None]
+            for t, g in zip(ts, M.frozen_product(B, th, alpha)(ts)):
+                try:
+                    Q = M.deform(B, th, alpha, t)
+                except DegenerateDeformation:
+                    continue
+                breakpoints += 1
+                ref = float(M.volume_product(Q).product)
+                tol = 1e-12 * max(1.0, kappa(Q) + kappa(M.polar(Q)))
+                assert abs(g - ref) <= tol * ref
+    assert breakpoints >= 20
 
 
 def test_persistence_rejects_inadmissible_speed(cubocta_r):
