@@ -9,15 +9,13 @@ from .combinatorics import (AFFINE_OCTAHEDRON, EXCLUDED, PARALLELEPIPED,
                             DimensionReport, MinimizerClassification, c_theta,
                             classify_minimizer_candidate, dimension_bound,
                             generic_direction, in_plane_direction)
-from .geometry import (DOUBLE, RATIONAL, ConvexPolytope, FaceLattice,
-                       SymPolytope, build_polytope, build_sym_polytope,
-                       face_lattice, from_representatives, linear_image,
+from .geometry import (DOUBLE, RATIONAL, FaceLattice, SymPolytope,
+                       build_sym_polytope, from_representatives, linear_image,
                        load_polytope, same_labeled_lattice, save_polytope,
                        snap_to_rational, to_double, volume)
 from .optimizer import (DescentConfig, DescentStep, DescentTrace,
                         corpus_verify, descend, random_symmetric_polytope)
 from .polarity import (MAHLER_BOUND, VolumeProductReport, polar,
-                       santalo_point, santalo_polar,
                        verify_incidence_duality, volume_product)
 from .shadow import (Direction, ShadowSystem, SpeedSpace, SpeedVector,
                      admissibility_residual, admissible_space,
@@ -30,22 +28,19 @@ from .shadow import (Direction, ShadowSystem, SpeedSpace, SpeedVector,
 __version__ = "1.0.0"
 
 __all__ = [
-    "AFFINE_OCTAHEDRON", "EXCLUDED", "PARALLELEPIPED", "ConvexPolytope",
-    "DOUBLE", "DescentConfig", "DescentStep", "DescentTrace",
-    "DimensionReport", "Direction", "FaceLattice", "MAHLER_BOUND",
-    "MinimizerClassification", "RATIONAL", "ShadowSystem", "SpeedSpace",
-    "SpeedVector", "SymPolytope", "VolumeProductReport",
-    "admissibility_residual", "admissible_space", "build_polytope",
+    "AFFINE_OCTAHEDRON", "EXCLUDED", "PARALLELEPIPED", "DOUBLE",
+    "DescentConfig", "DescentStep", "DescentTrace", "DimensionReport",
+    "Direction", "FaceLattice", "MAHLER_BOUND", "MinimizerClassification",
+    "RATIONAL", "ShadowSystem", "SpeedSpace", "SpeedVector", "SymPolytope",
+    "VolumeProductReport", "admissibility_residual", "admissible_space",
     "build_sym_polytope", "c_theta", "check_inverse_polar_convexity",
     "check_volume_affine", "classify_minimizer_candidate", "corpus_verify",
     "deform", "descend", "dimension_bound", "direction", "errors",
-    "face_lattice", "from_representatives", "frozen_product",
-    "generic_direction", "in_plane_direction", "is_trivial", "linear_image",
-    "load_polytope", "nontrivial_component", "nontrivial_speed",
-    "persistence_interval", "persistence_root", "polar",
-    "random_symmetric_polytope",
-    "same_labeled_lattice", "santalo_point", "santalo_polar",
-    "save_polytope", "shadow_system", "snap_to_rational", "speed_vector",
-    "to_double", "trivial_speed", "verify_incidence_duality", "volume",
-    "volume_product", "__version__",
+    "from_representatives", "frozen_product", "generic_direction",
+    "in_plane_direction", "is_trivial", "linear_image", "load_polytope",
+    "nontrivial_component", "nontrivial_speed", "persistence_interval",
+    "persistence_root", "polar", "random_symmetric_polytope",
+    "same_labeled_lattice", "save_polytope", "shadow_system",
+    "snap_to_rational", "speed_vector", "to_double", "trivial_speed",
+    "verify_incidence_duality", "volume", "volume_product", "__version__",
 ]

@@ -29,10 +29,6 @@ class SingularMatrix(InputError):
     """Linear map with |det| below tolerance."""
 
 
-class CenterOutsideBody(InputError):
-    """Polar center not strictly interior to the body."""
-
-
 class NumericalDegeneracy(MahlerError):
     """Facet structure could not be certified within tolerance."""
 
@@ -52,15 +48,6 @@ class DegenerateDeformation(MahlerError):
 
 class NoPersistence(MahlerError):
     """No positive persistence half-width could be certified."""
-
-
-class NonConvergence(MahlerError):
-    """Iterative solver exhausted its budget."""
-
-    def __init__(self, message, best=None, grad_norm=None):
-        super().__init__(message)
-        self.best = best
-        self.grad_norm = grad_norm
 
 
 class GenerationFailure(MahlerError):

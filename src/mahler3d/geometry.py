@@ -64,12 +64,12 @@ class FaceLattice:
     """
 
     def __init__(self, n_vertices, edges, facet_cycles, facet_planes,
-                 opposite_facet=None):
+                 opposite_facet):
         self.n_vertices = n_vertices
         self.edges = edges                    # tuple of sorted (i, j)
         self.facet_cycles = facet_cycles      # tuple of vertex-label cycles
         self.facet_planes = facet_planes      # tuple of (normal, offset)
-        self.opposite_facet = opposite_facet  # facet involution, symmetric case
+        self.opposite_facet = opposite_facet  # antipodal facet involution
         edge_label = {e: k for k, e in enumerate(edges)}
         phi1 = [set() for _ in range(n_vertices)]
         phi2 = [[] for _ in edges]
@@ -110,9 +110,6 @@ class FaceLattice:
 
     def phi0(self, k):
         return self.facet_cycles[k]
-
-    def facet_sets(self):
-        return [frozenset(c) for c in self.facet_cycles]
 
     def m(self, k):
         return len(self.facet_cycles[k])
@@ -175,7 +172,7 @@ def same_labeled_lattice(a, b):
     return a.signature() == b.signature()
 
 
-def _build_lattice(n, hull_data, pairing=None):
+def _build_lattice(n, hull_data, pairing):
     """Assemble a FaceLattice from hull output; indices must already be
     relabeled to the final vertex order."""
     edge_count = {}
@@ -194,19 +191,16 @@ def _build_lattice(n, hull_data, pairing=None):
     cycles = tuple(f[0] for f in hull_data)
     planes = tuple((f[1], f[2]) for f in hull_data)
 
-    opposite = None
-    if pairing is not None:
-        key_to_label = {tuple(sorted(c)): k for k, c in enumerate(cycles)}
-        opposite = []
-        for c in cycles:
-            mk = tuple(sorted(pairing[i] for i in c))
-            if mk not in key_to_label:
-                raise NumericalDegeneracy("facet family not closed under antipodal map",
-                                          offending=list(c))
-            opposite.append(key_to_label[mk])
-        opposite = tuple(opposite)
+    key_to_label = {tuple(sorted(c)): k for k, c in enumerate(cycles)}
+    opposite = []
+    for c in cycles:
+        mk = tuple(sorted(pairing[i] for i in c))
+        if mk not in key_to_label:
+            raise NumericalDegeneracy("facet family not closed under antipodal map",
+                                      offending=list(c))
+        opposite.append(key_to_label[mk])
 
-    lat = FaceLattice(n, edges, cycles, planes, opposite_facet=opposite)
+    lat = FaceLattice(n, edges, cycles, planes, opposite_facet=tuple(opposite))
     if lat.V - lat.E + lat.F != 2:
         raise NumericalDegeneracy(
             f"Euler check failed: V={lat.V} E={lat.E} F={lat.F}")
@@ -384,8 +378,7 @@ def _assemble(reps, kernel, keep_order, dist_tol=None):
         reps = sorted(reps, reverse=True)
     k = len(reps)
     points = list(reps) + [neg(p) for p in reps]
-    origin = (Fraction(0),) * 3 if kernel == RATIONAL else (0.0, 0.0, 0.0)
-    h = _hull.hull_3d(points, exact=(kernel == RATIONAL), ref=origin, dist_tol=dist_tol)
+    h = _hull.hull_3d(points, exact=(kernel == RATIONAL), dist_tol=dist_tol)
 
     corner = set(h.corners)
     mirror = {i: (i + k) % (2 * k) for i in range(2 * k)}
@@ -479,11 +472,6 @@ def from_representatives(reps, kernel, dist_tol=None):
     return _assemble(kept, kernel, keep_order=True, dist_tol=dist_tol)
 
 
-def face_lattice(P):
-    """The labeled face lattice of ``P`` (computed at construction)."""
-    return P.lattice
-
-
 def volume(P):
     """|P| by signed tetrahedra over the origin, per facet fan.
 
@@ -526,47 +514,6 @@ def linear_image(P, A):
     return Q
 
 
-class ConvexPolytope:
-    """General-position convex polytope (no symmetry), used only for Santalo
-    diagnostics on deformed polars."""
-
-    def __init__(self, vertices, lattice, kernel):
-        self.vertices = vertices
-        self.lattice = lattice
-        self.kernel = kernel
-
-    @property
-    def V(self):
-        return len(self.vertices)
-
-    def volume(self):
-        return _kernels.fan_volume(self.vertices, self.lattice.facet_cycles)
-
-    def centroid(self):
-        n = len(self.vertices)
-        return tuple(sum(v[c] for v in self.vertices) / n for c in range(3))
-
-
-def build_polytope(points, kernel=DOUBLE, tol=None):
-    """General convex polytope from a point list (extreme points kept)."""
-    pts = [as_point(p, kernel) for p in points]
-    if len(pts) < 4:
-        raise DegenerateInput("need at least four points")
-    uniq = list(dict.fromkeys(pts)) if kernel == RATIONAL else pts
-    n = len(uniq)
-    ref = tuple(sum(p[c] for p in uniq) / n for c in range(3))
-    h = _hull.hull_3d(uniq, exact=(kernel == RATIONAL), ref=ref, dist_tol=tol)
-    new_of = {i: a for a, i in enumerate(h.corners)}
-    vertices = tuple(uniq[i] for i in h.corners)
-    relabeled = []
-    for f in h.facets:
-        cyc = _hull._canonical_cycle(tuple(new_of[i] for i in f.cycle))
-        relabeled.append((cyc, f.normal, f.offset))
-    relabeled.sort(key=lambda t: tuple(sorted(t[0])))
-    lattice = _build_lattice(len(vertices), relabeled)
-    return ConvexPolytope(vertices, lattice, kernel)
-
-
 def snap_to_rational(P, bits=40):
     """Round a double-kernel polytope to dyadic rationals (denominator 2^bits)
     and rebuild it on the exact kernel.  Combinatorial verdicts downstream
@@ -591,9 +538,11 @@ def to_double(P):
 def load_polytope(source, kernel=RATIONAL, tol=None):
     """Load the JSON polytope format {"vertices": [[x,y,z],...], "symmetric": true}.
 
-    With "symmetric": true only one point per antipodal pair need be listed;
-    the loader mirrors.  Coordinates may be numbers or decimal/fraction
-    strings (strings are exact in rational mode).
+    Only one point per antipodal pair need be listed; the loader mirrors.
+    The "symmetric" key may be omitted, but any value other than true raises
+    InputError: mirroring a body that is not origin-symmetric would silently
+    replace it by conv(K u -K).  Coordinates may be numbers or
+    decimal/fraction strings (strings are exact in rational mode).
     """
     if isinstance(source, (str, bytes)):
         with open(source) as fh:
@@ -602,6 +551,9 @@ def load_polytope(source, kernel=RATIONAL, tol=None):
         data = source
     if not isinstance(data, dict) or "vertices" not in data:
         raise InputError("polytope JSON must be an object with a 'vertices' key")
+    if data.get("symmetric", True) is not True:
+        raise InputError("only origin-symmetric bodies are supported; "
+                         f"got 'symmetric': {data['symmetric']!r}")
     pts = data["vertices"]
     return build_sym_polytope(pts, tol=tol, kernel=kernel)
 

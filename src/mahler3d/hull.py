@@ -55,9 +55,6 @@ class Hull:
     corners: tuple        # sorted input indices of extreme points
     facets: tuple         # Facet records, sorted by vertex-set key
 
-    def facet_sets(self):
-        return [frozenset(f.cycle) for f in self.facets]
-
 
 def affine_dim(points, exact, tol2=0):
     """(affine dimension, certificate indices) of a point list.
@@ -243,8 +240,9 @@ def _canonical_cycle(cycle):
     return tuple(cycle[k:] + cycle[:k])
 
 
-def hull_3d(points, exact, ref, dist_tol=None):
-    """Hull of ``points`` (list of coordinate 3-tuples) around interior reference ``ref``.
+def hull_3d(points, exact, dist_tol=None):
+    """Hull of ``points`` (list of coordinate 3-tuples), whose interior must
+    contain the origin; facets are oriented outward from it.
 
     exact=True runs entirely over Fractions; otherwise points must be floats
     and ``dist_tol`` (absolute plane-residual tolerance) applies.  Raises
@@ -296,9 +294,9 @@ def hull_3d(points, exact, ref, dist_tol=None):
         nw = _newell_normal(points, cycle)
         if all(c == 0 for c in nw):
             raise NumericalDegeneracy("zero Newell normal", offending=list(cycle))
-        side = dot(nw, ref) - dot(nw, points[cycle[0]])
+        side = -dot(nw, points[cycle[0]])
         if side == 0:
-            raise NumericalDegeneracy("reference point on facet plane", offending=list(cycle))
+            raise NumericalDegeneracy("origin on facet plane", offending=list(cycle))
         if side > 0:
             nw = neg(nw)
             cycle = tuple(reversed(cycle))

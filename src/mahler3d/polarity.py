@@ -14,10 +14,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import _kernels, geometry as G
-from .errors import (CenterOutsideBody, DualityViolation, NonConvergence,
-                     NumericalDegeneracy)
-from .hull import _canonical_cycle, _newell_normal, dot, neg, sub
+from . import geometry as G
+from .errors import DualityViolation, NumericalDegeneracy
+from .hull import _canonical_cycle, _newell_normal, dot, neg
 
 MAHLER_BOUND = Fraction(32, 3)
 
@@ -81,190 +80,6 @@ def polar(P):
     Q._primal_facet_of_vertex = tuple(rep_facets + [opp[f] for f in rep_facets])
     Q._primal_vertex_of_facet = tuple(t[3] for t in tagged)
     return Q
-
-
-def _require_interior(lat, z, tol):
-    margins = []
-    for n, h in lat.facet_planes:
-        margins.append(h - dot(n, z))
-    worst = min(margins)
-    if worst <= tol:
-        raise CenterOutsideBody(
-            f"center {tuple(map(float, z))} has facet margin {float(worst):.3e}")
-    return margins
-
-
-def santalo_polar(P, z, tol=None):
-    """The Santalo polar K^z = z + (K - z) deg as a general ConvexPolytope.
-
-    ``z`` must be interior with margin > tol (default 0 exact, 1e-12 double).
-    The output lattice is the order reversal of P's; combinatorics do not
-    depend on z while z stays interior.
-    """
-    kernel = P.kernel
-    z = G.as_point(z, kernel)
-    if tol is None:
-        tol = 0 if kernel == G.RATIONAL else 1e-12
-    lat = P.lattice
-    margins = _require_interior(lat, z, tol)
-    vertices = []
-    for k in range(lat.F):
-        n, _ = lat.facet_planes[k]
-        m = margins[k]
-        vertices.append((z[0] + n[0] / m, z[1] + n[1] / m, z[2] + n[2] / m))
-    vertices = tuple(vertices)
-
-    rings = lat.vertex_facet_cycles()
-    data = []
-    for v in range(P.V):
-        cyc = rings[v]
-        d = sub(P.vertices[v], z)
-        nw = _newell_normal(vertices, cyc)
-        side = dot(nw, d)
-        if side == 0:
-            raise NumericalDegeneracy("degenerate Santalo-polar facet",
-                                      offending=list(cyc))
-        if side < 0:
-            cyc = tuple(reversed(cyc))
-        h = 1 + dot(z, d)
-        if kernel == G.DOUBLE:
-            L = float(dot(d, d)) ** 0.5
-            d = (d[0] / L, d[1] / L, d[2] / L)
-            h = (1.0 + dot(z, sub(P.vertices[v], z))) / L
-        data.append((_canonical_cycle(cyc), d, h))
-    data.sort(key=lambda t: tuple(sorted(t[0])))
-    lattice = G._build_lattice(lat.F, data)
-    return G.ConvexPolytope(vertices, lattice, kernel)
-
-
-def _fast_santalo_volume_fn(Q):
-    """Closure z -> |Q^z| over float data with the combinatorics fixed once.
-
-    Valid on the interior chamber (where the dual lattice is constant);
-    returns +inf outside the margin.
-    """
-    lat = Q.lattice
-    normals = np.array([[float(c) for c in n] for n, _ in lat.facet_planes])
-    offsets = np.array([float(h) for _, h in lat.facet_planes])
-    verts = np.array([[float(c) for c in v] for v in Q.vertices])
-    z0 = verts.mean(axis=0)
-    m0 = offsets - normals @ z0
-    if m0.min() <= 0:
-        raise NumericalDegeneracy("vertex centroid not strictly interior")
-    pts0 = z0[None, :] + normals / m0[:, None]
-    rings = []
-    for v, ring in enumerate(lat.vertex_facet_cycles()):
-        cyc = list(ring)
-        nw = np.zeros(3)
-        k = len(cyc)
-        for a in range(k):
-            p, q = pts0[cyc[a]], pts0[cyc[(a + 1) % k]]
-            nw += np.cross(p, q)
-        if float(nw @ (verts[v] - z0)) < 0:
-            cyc.reverse()
-        rings.append(cyc)
-    margin_floor = 1e-12 * max(1.0, float(np.abs(offsets).max()))
-
-    def f(z):
-        m = offsets - normals @ z
-        if m.min() <= margin_floor:
-            return np.inf
-        pts = z[None, :] + normals / m[:, None]
-        return abs(_kernels.fan_volume(pts.tolist(), rings))
-
-    return f
-
-
-def _coordinate_search(f, z, step, budget=200):
-    fz = f(z)
-    for _ in range(budget):
-        improved = False
-        for axis in range(3):
-            for sgn in (1.0, -1.0):
-                trial = z.copy()
-                trial[axis] += sgn * step
-                ft = f(trial)
-                if ft < fz:
-                    z, fz = trial, ft
-                    improved = True
-        if not improved:
-            step *= 0.5
-            if step < 1e-14:
-                break
-    return z, fz
-
-
-def santalo_point(Q, gtol=1e-8, max_iters=200):
-    """Interior minimizer of z -> |Q^z|.
-
-    Symmetric input short-circuits to the origin (the functional's gradient
-    vanishes there by central symmetry).  Otherwise a damped quasi-Newton
-    iteration with central-difference gradients (step 1e-6 x diameter) runs
-    from the vertex centroid, with a coordinate-search fallback; raises
-    NonConvergence carrying the best iterate if the gradient norm never
-    reaches gtol.
-    """
-    if isinstance(Q, G.SymPolytope):
-        zero = Fraction(0) if Q.kernel == G.RATIONAL else 0.0
-        return (zero, zero, zero)
-
-    f = _fast_santalo_volume_fn(Q)
-    arr = np.array([[float(c) for c in v] for v in Q.vertices])
-    z = arr.mean(axis=0)
-    diam = float(np.ptp(arr, axis=0).max())
-    h = 1e-6 * diam
-
-    def grad(z):
-        g = np.zeros(3)
-        for i in range(3):
-            e = np.zeros(3)
-            e[i] = h
-            g[i] = (f(z + e) - f(z - e)) / (2 * h)
-        return g
-
-    fz = f(z)
-    if not np.isfinite(fz):
-        raise NonConvergence("centroid start infeasible", best=tuple(z),
-                             grad_norm=float("inf"))
-    H = np.eye(3)
-    g = grad(z)
-    scaled = False
-    for _ in range(max_iters):
-        gn = float(np.linalg.norm(g))
-        if gn <= gtol:
-            return tuple(float(c) for c in z)
-        if not scaled:
-            H *= 0.05 * diam / max(gn, 1e-30)
-            scaled = True
-        p = -H @ g
-        t = 1.0
-        slope = float(g @ p)
-        while t > 1e-14:
-            zt = z + t * p
-            ft = f(zt)
-            if np.isfinite(ft) and ft <= fz + 1e-4 * t * slope:
-                break
-            t *= 0.5
-        else:
-            break
-        gt = grad(zt)
-        s = zt - z
-        y = gt - g
-        sy = float(s @ y)
-        if sy > 1e-12 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
-            rho = 1.0 / sy
-            I = np.eye(3)
-            H = (I - rho * np.outer(s, y)) @ H @ (I - rho * np.outer(y, s)) \
-                + rho * np.outer(s, s)
-        z, fz, g = zt, ft, gt
-
-    z, fz = _coordinate_search(f, z, 0.01 * diam)
-    g = grad(z)
-    gn = float(np.linalg.norm(g))
-    if gn <= gtol:
-        return tuple(float(c) for c in z)
-    raise NonConvergence("Santalo-point iteration exhausted", best=tuple(z),
-                         grad_norm=gn)
 
 
 def volume_product(P):

@@ -79,18 +79,6 @@ def polar_volume_halfspace(points):
     return ConvexHull(polar_vertices_halfspace(points)).volume
 
 
-def santalo_polar_volume(points, z):
-    """|K^z| by the facet-plane dual: vertices n/(h - n.z), hull volume."""
-    pts = np.asarray(points, dtype=float)
-    z = np.asarray(z, dtype=float)
-    dual = []
-    for n, h, _ in merged_facets(pts):
-        margin = h - n @ z
-        assert margin > 0, "z not interior"
-        dual.append(n / margin)
-    return ConvexHull(np.array(dual)).volume
-
-
 def admissible_dim_oracle(points, theta, par_tol=1e-10, tol=1e-8):
     """dim of the symmetric theta-admissible speed space, by dense SVD
     nullspace.

@@ -190,6 +190,21 @@ def test_exit_1_on_input_errors(capsys, tmp_path, cubocta_json):
     assert json.loads(err)["error"] == "DegenerateInput"
 
 
+def test_product_rejects_non_symmetric_body(capsys, tmp_path):
+    # Mirroring the simplex would silently report the octahedron's 32/3.
+    simplex = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    path = tmp_path / "simplex.json"
+    path.write_text(json.dumps({"vertices": simplex, "symmetric": False}))
+    rc, out, err = run_cli(capsys, "product", str(path))
+    assert rc == 1 and out == ""
+    assert json.loads(err)["error"] == "InputError"
+
+    path.write_text(json.dumps({"vertices": simplex}))
+    rc, out, _ = run_cli(capsys, "product", str(path))
+    assert rc == 0
+    assert json.loads(out)["product"] == "32/3"
+
+
 def test_exit_2_on_finding(capsys, monkeypatch):
     def fake_corpus_verify(count, n_pairs_max=6, seed=0, **kw):
         raise CounterexampleAlarm("product 10.0 below 32/3 - 1e-9",

@@ -125,12 +125,6 @@ def test_linear_image_random_dets(corpus50):
             abs(np.linalg.det(A)) * float(M.volume(P)), rel=1e-9)
 
 
-def test_general_polytope_volume():
-    simplex = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    P = M.build_polytope(simplex, kernel=M.RATIONAL)
-    assert P.volume() == Fraction(1, 6)
-
-
 def test_snap_and_to_double_round_trip(cubocta_d):
     R = M.snap_to_rational(cubocta_d)
     assert R.kernel == M.RATIONAL

@@ -1,10 +1,8 @@
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 import mahler3d as M
-from mahler3d.errors import CenterOutsideBody, NonConvergence
 
 import oracles
 
@@ -65,45 +63,6 @@ def test_incidence_duality_report(cube_r, cubocta_r, corpus50):
         assert rep["transpose_ok"] and rep["reconstruction_ok"] \
             and rep["bipolar_ok"]
         assert rep["polar_V"] == rep["F"] and rep["polar_F"] == rep["V"]
-
-
-def test_santalo_polar_cube_off_center():
-    cube = M.build_sym_polytope([(1, 1, 1), (1, 1, -1), (1, -1, 1),
-                                 (-1, 1, 1)], kernel=M.RATIONAL)
-    Q0 = M.santalo_polar(cube, (0, 0, 0))
-    assert Q0.volume() == Fraction(4, 3)
-    Qz = M.santalo_polar(cube, (Fraction(1, 2), 0, 0))
-    assert Qz.volume() == Fraction(16, 9)
-    with pytest.raises(CenterOutsideBody):
-        M.santalo_polar(cube, (1, 0, 0))
-
-
-def test_santalo_polar_matches_oracle_double(octa_d):
-    z = (0.2, 0.1, 0.0)
-    got = float(M.santalo_polar(octa_d, z).volume())
-    ref = oracles.santalo_polar_volume(octa_d.as_array(), z)
-    assert got == pytest.approx(ref, rel=1e-9)
-
-
-def test_santalo_point_symmetric_short_circuit(cubocta_r):
-    z = M.santalo_point(cubocta_r)
-    assert z == (0, 0, 0)
-
-
-def test_santalo_point_translated_cube():
-    pts = [(x + 0.3, y, z) for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)]
-    K = M.build_polytope(pts, kernel=M.DOUBLE)
-    z = M.santalo_point(K)
-    # symmetric about x = 0.3, so the minimizer sits on the axis
-    assert z[0] == pytest.approx(0.3, abs=1e-6)
-    assert abs(z[1]) < 1e-6 and abs(z[2]) < 1e-6
-
-
-def test_santalo_point_simplex():
-    simplex = [(0, 0, 0), (3, 0, 0), (0, 3, 0), (0, 0, 3)]
-    K = M.build_polytope(simplex, kernel=M.DOUBLE)
-    z = M.santalo_point(K)
-    assert np.allclose(z, (0.75, 0.75, 0.75), atol=1e-5)
 
 
 def test_mahler_bound_constant():
