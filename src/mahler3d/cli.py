@@ -100,10 +100,10 @@ def _parse_theta(text, kernel):
     if len(parts) != 3:
         raise InputError("--theta expects three comma-separated components")
     try:
-        exact = tuple(Fraction(p) for p in parts)
+        exact = tuple([Fraction(p) for p in parts])
     except (ValueError, ZeroDivisionError) as e:
         raise InputError(f"bad theta component: {e}")
-    vec = exact if kernel == G.RATIONAL else tuple(float(x) for x in exact)
+    vec = exact if kernel == G.RATIONAL else tuple([float(x) for x in exact])
     return SH.direction(vec)
 
 
@@ -213,18 +213,18 @@ def _sweep_directions(P, n, seed, kernel):
                 pass
     for i, j in lat.edges:
         try:
-            push(SH.direction(tuple(b - a for a, b in
-                                    zip(P.vertices[i], P.vertices[j]))))
+            push(SH.direction(tuple([b - a for a, b in
+                                     zip(P.vertices[i], P.vertices[j])])))
         except InputError:
             pass
     rng = np.random.default_rng(seed)
     guard = 0
     while len(dirs) < n and guard < 50 * n:
         guard += 1
-        v = tuple(int(c) for c in rng.integers(-9, 10, size=3))
+        v = tuple([int(c) for c in rng.integers(-9, 10, size=3)])
         if v == (0, 0, 0):
             continue
-        vec = v if kernel == G.RATIONAL else tuple(float(c) for c in v)
+        vec = v if kernel == G.RATIONAL else tuple([float(c) for c in v])
         push(SH.direction(vec))
     return dirs[:max(n, 0)] if len(dirs) > n else dirs
 

@@ -94,7 +94,7 @@ def generic_direction(bodies, seed=0, tries=100):
     """
     rng = np.random.default_rng(seed)
     for _ in range(tries):
-        v = tuple(int(x) for x in rng.integers(-9, 10, 3))
+        v = tuple([int(x) for x in rng.integers(-9, 10, 3)])
         if v == (0, 0, 0):
             continue
         d = SH.direction(v)
@@ -125,7 +125,7 @@ def in_plane_direction(B, facet, tries=100):
     w = sub(v3, v1)
     opp = lat.opposite_facet[facet]
     for j in range(tries):
-        cand = tuple(u[c] + j * w[c] for c in range(3))
+        cand = tuple([u[c] + j * w[c] for c in range(3)])
         if all(x == 0 for x in cand):
             continue
         d = SH.direction(cand)

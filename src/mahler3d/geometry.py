@@ -46,7 +46,7 @@ def as_point(p, kernel):
     """Coerce a length-3 sequence to a coordinate triple of the kernel's type."""
     if len(p) != 3:
         raise InputError(f"point of length {len(p)}")
-    t = tuple(_as_coord(c, kernel) for c in p)
+    t = tuple([_as_coord(c, kernel) for c in p])
     if kernel == DOUBLE and not all(np.isfinite(c) for c in t):
         raise InputError(f"non-finite coordinate in {p!r}")
     return t
@@ -80,8 +80,8 @@ class FaceLattice:
                 k = edge_label[(min(i, j), max(i, j))]
                 phi2[k].append(f)
                 phi1[i].add(k)
-        self.phi1 = tuple(frozenset(s) for s in phi1)
-        self.phi2 = tuple(tuple(sorted(p)) for p in phi2)
+        self.phi1 = tuple([frozenset(s) for s in phi1])
+        self.phi2 = tuple([tuple(sorted(p)) for p in phi2])
         self._vertex_facet_cycles = None
 
     @property
@@ -188,8 +188,8 @@ def _build_lattice(n, hull_data, pairing):
         raise NumericalDegeneracy(f"edges not shared by exactly two facets: {bad[:4]}",
                                   offending=bad)
     edges = tuple(sorted(edge_count))
-    cycles = tuple(f[0] for f in hull_data)
-    planes = tuple((f[1], f[2]) for f in hull_data)
+    cycles = tuple([f[0] for f in hull_data])
+    planes = tuple([(f[1], f[2]) for f in hull_data])
 
     key_to_label = {tuple(sorted(c)): k for k, c in enumerate(cycles)}
     opposite = []
@@ -346,7 +346,7 @@ def _dedupe_and_pair(points, tol, kernel):
     for root, members in sorted(clusters.items()):
         if root in done:
             continue
-        mean = tuple(sum(full[m][c] for m in members) / len(members) for c in range(3))
+        mean = tuple([sum(full[m][c] for m in members) / len(members) for c in range(3)])
         anti = neg(mean)
         # locate the antipodal cluster through any member's mirror
         mirror_root = find((members[0] + n // 2) % n)
@@ -400,7 +400,7 @@ def _assemble(reps, kernel, keep_order, dist_tol=None):
 
     relabeled = []
     for f in h.facets:
-        cyc = _hull._canonical_cycle(tuple(new_of[i] for i in f.cycle))
+        cyc = _hull._canonical_cycle(tuple([new_of[i] for i in f.cycle]))
         relabeled.append((cyc, f.normal, f.offset))
     relabeled.sort(key=lambda t: tuple(sorted(t[0])))
     relabeled = _canonicalize_pair_planes(relabeled, pairing)
@@ -497,15 +497,15 @@ def linear_image(P, A):
         reps = []
         for i in P.rep_indices():
             v = P.vertices[i]
-            reps.append(tuple(M[r][0] * v[0] + M[r][1] * v[1] + M[r][2] * v[2]
-                              for r in range(3)))
+            reps.append(tuple([M[r][0] * v[0] + M[r][1] * v[1] + M[r][2] * v[2]
+                               for r in range(3)]))
     else:
         M = np.asarray(A, dtype=float)
         det = np.linalg.det(M)
         scale = max(1.0, float(np.abs(M).max())) ** 3
         if abs(det) <= 1e-12 * scale:
             raise SingularMatrix(f"matrix determinant {det:.3e} below tolerance")
-        reps = [tuple(float(c) for c in M @ np.array(P.vertices[i]))
+        reps = [tuple([float(c) for c in M @ np.array(P.vertices[i])])
                 for i in P.rep_indices()]
     Q = from_representatives(reps, P.kernel)
     if Q.V != P.V:
@@ -523,7 +523,7 @@ def snap_to_rational(P, bits=40):
     den = 1 << bits
     reps = []
     for i in P.rep_indices():
-        reps.append(tuple(Fraction(round(c * den), den) for c in P.vertices[i]))
+        reps.append(tuple([Fraction(round(c * den), den) for c in P.vertices[i]]))
     return from_representatives(reps, RATIONAL)
 
 
@@ -531,7 +531,7 @@ def to_double(P):
     """Rebuild a rational polytope on the float64 kernel."""
     if P.kernel == DOUBLE:
         return P
-    reps = [tuple(float(c) for c in P.vertices[i]) for i in P.rep_indices()]
+    reps = [tuple([float(c) for c in P.vertices[i]]) for i in P.rep_indices()]
     return from_representatives(reps, DOUBLE)
 
 

@@ -1,11 +1,20 @@
 """Supporting-plane convex hull in R^3 over two arithmetic kernels.
 
-The same O(V^4) algorithm runs over exact ``Fraction`` coordinates (all sign
-tests exact, tolerances zero) or over float64 (sign tests against a scaled
-distance tolerance, with the triple loop vectorised by numpy in
-``_kernels.support_planes``).  Facets are discovered as maximal coplanar
-supporting sets; their polygons are recovered by a 2D monotone chain, which
-simultaneously classifies non-corner points as non-extreme.
+The same O(V^4) algorithm runs exactly (all sign tests exact, tolerances
+zero) or over float64 (sign tests against a scaled distance tolerance, with
+the triple loop vectorised by numpy in ``_kernels.support_planes``).  Facets
+are discovered as maximal coplanar supporting sets; their polygons are
+recovered by a 2D monotone chain, which simultaneously classifies non-corner
+points as non-extreme.
+
+The exact kernel scales its rational input once by ``D``, the least common
+multiple of the coordinate denominators, and runs every predicate (affine
+dimension, supporting sets, polygon corners, Newell normal, orientation) on
+the integer points ``p·D``, where Python's integers are exact and far cheaper
+than ``Fraction`` arithmetic.  ``Fraction``s appear only at output: the
+Newell normal is homogeneous of degree 2 and the plane offset of degree 3 in
+the coordinates, so a facet found on the integer points has normal
+``nw / D**2`` and offset ``nw·p / D**3`` on the input.
 
 The algorithm is quartic in the vertex count and intended for the small
 polytopes this toolkit manipulates (V up to a few dozen), where robustness
@@ -13,7 +22,9 @@ and kernel-exactness matter more than asymptotics.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -131,6 +142,14 @@ def polygon_corners(pts2, eps2):
     return ring
 
 
+def _integer_points(points):
+    """(points scaled by D, D): D is the least common multiple of the
+    denominators of the rational coordinates, so every scaled one is an int."""
+    den = math.lcm(*[c.denominator for p in points for c in p])
+    return [tuple([c.numerator * (den // c.denominator) for c in p])
+            for p in points], den
+
+
 def _support_sets_exact(points):
     """All maximal coplanar supporting sets, by exact triple enumeration."""
     n = len(points)
@@ -244,13 +263,15 @@ def hull_3d(points, exact, dist_tol=None):
     """Hull of ``points`` (list of coordinate 3-tuples), whose interior must
     contain the origin; facets are oriented outward from it.
 
-    exact=True runs entirely over Fractions; otherwise points must be floats
-    and ``dist_tol`` (absolute plane-residual tolerance) applies.  Raises
-    DegenerateInput below dimension 3 and NumericalDegeneracy when the facet
-    structure cannot be certified.
+    exact=True takes rational coordinates (``Fraction`` or ``int``), decides
+    every predicate on their integer images and returns ``Fraction`` planes;
+    otherwise points must be floats and ``dist_tol`` (absolute plane-residual
+    tolerance) applies.  Raises DegenerateInput below dimension 3 and
+    NumericalDegeneracy when the facet structure cannot be certified.
     """
     n = len(points)
     if exact:
+        points, den = _integer_points(points)
         dim, _ = affine_dim(points, True)
         if dim < 3:
             raise DegenerateInput(f"affine hull has dimension {dim} < 3")
@@ -285,7 +306,7 @@ def hull_3d(points, exact, dist_tol=None):
         ring = polygon_corners(pts2, eps2)
         if len(ring) < 3:
             raise NumericalDegeneracy("facet polygon collapsed", offending=idxs)
-        cycle = tuple(idxs[r] for r in ring)
+        cycle = tuple([idxs[r] for r in ring])
         corner_set.update(cycle)
         facets.append((cycle, nrm, h))
 
@@ -301,7 +322,8 @@ def hull_3d(points, exact, dist_tol=None):
             nw = neg(nw)
             cycle = tuple(reversed(cycle))
         if exact:
-            normal, offset = nw, dot(nw, points[cycle[0]])
+            normal = tuple([Fraction(c, den * den) for c in nw])
+            offset = Fraction(dot(nw, points[cycle[0]]), den ** 3)
         else:
             nn = (nw[0] * nw[0] + nw[1] * nw[1] + nw[2] * nw[2]) ** 0.5
             normal = (nw[0] / nn, nw[1] / nn, nw[2] / nn)

@@ -101,7 +101,7 @@ def _direction_key(d):
     t = d.theta
     lead = next((x for x in t if abs(x) > 1e-12), 1.0)
     s = 1.0 if lead > 0 else -1.0
-    return tuple(round(s * x, 9) for x in t)
+    return tuple([round(s * x, 9) for x in t])
 
 
 def _candidate_directions(P, Q, cfg, rng):
@@ -116,7 +116,7 @@ def _candidate_directions(P, Q, cfg, rng):
             if L < 1e-9:
                 v = np.array([1.0, 0.0, 0.0])
                 L = 1.0
-            dirs.append(SH.direction(tuple(float(x) for x in v)))
+            dirs.append(SH.direction(tuple([float(x) for x in v])))
     if cfg.direction_mode in ("mixed", "facet"):
         for B in (P, Q):
             lat = B.lattice
@@ -150,7 +150,7 @@ def _candidate_directions(P, Q, cfg, rng):
 
 
 def _float_speed(alpha):
-    return SH.SpeedVector(tuple(float(x) for x in alpha.alpha))
+    return SH.SpeedVector(tuple([float(x) for x in alpha.alpha]))
 
 
 def _snap_iterate(P):
@@ -160,7 +160,7 @@ def _snap_iterate(P):
     if P.kernel != G.RATIONAL:
         return P
     den = 1 << 40
-    reps = [tuple(Fraction(round(float(x) * den), den) for x in P.vertices[i])
+    reps = [tuple([Fraction(round(float(x) * den), den) for x in P.vertices[i]])
             for i in P.rep_indices()]
     try:
         snapped = G.from_representatives(reps, G.RATIONAL)
@@ -345,7 +345,7 @@ def corpus_verify(count, n_pairs_max=6, seed=2024, dirs_per_body=4,
         if prod < floor and P.kernel == G.DOUBLE:
             # rounding in a thin body's fan volumes can dip below the floor
             exact = G.from_representatives(
-                [tuple(Fraction(c) for c in P.vertices[i])
+                [tuple([Fraction(c) for c in P.vertices[i]])
                  for i in P.rep_indices()], G.RATIONAL)
             prod = float(PO.volume_product(exact).product)
         if prod < floor:
@@ -359,7 +359,7 @@ def corpus_verify(count, n_pairs_max=6, seed=2024, dirs_per_body=4,
             if L < 1e-9:
                 continue
             try:
-                CB.dimension_bound(P, SH.direction(tuple(float(x) for x in v)))
+                CB.dimension_bound(P, SH.direction(tuple([float(x) for x in v])))
             except ParallelismAmbiguity:
                 continue
             checked_dirs += 1

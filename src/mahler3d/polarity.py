@@ -51,13 +51,13 @@ def polar(P):
     for f in rep_facets:
         n, h = lat.facet_planes[f]
         reps.append((n[0] / h, n[1] / h, n[2] / h))
-    vertices = tuple(reps) + tuple(neg(p) for p in reps)
+    vertices = tuple(reps) + tuple([neg(p) for p in reps])
     pairing = tuple(list(range(K, 2 * K)) + list(range(K)))
 
     rings = lat.vertex_facet_cycles()
     tagged = []
     for v in range(P.V):
-        cyc = tuple(new_of[f] for f in rings[v])
+        cyc = tuple([new_of[f] for f in rings[v]])
         pv = P.vertices[v]
         nw = _newell_normal(vertices, cyc)
         side = dot(nw, pv)
@@ -78,7 +78,7 @@ def polar(P):
     Q = G.SymPolytope(vertices, pairing, cert, lattice, P.kernel)
     # bookkeeping for the order reversal, consumed by verify_incidence_duality
     Q._primal_facet_of_vertex = tuple(rep_facets + [opp[f] for f in rep_facets])
-    Q._primal_vertex_of_facet = tuple(t[3] for t in tagged)
+    Q._primal_vertex_of_facet = tuple([t[3] for t in tagged])
     return Q
 
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg
 
 from . import geometry as G, polarity as PO
 from .errors import (AffinenessViolation, ConvexityViolation,
@@ -49,7 +48,7 @@ def direction(vec):
     """
     if isinstance(vec, Direction):
         return vec
-    c = tuple(G._as_coord(x, G.RATIONAL) for x in vec)
+    c = tuple([G._as_coord(x, G.RATIONAL) for x in vec])
     if len(c) != 3 or all(x == 0 for x in c):
         raise InputError(f"invalid direction {vec!r}")
     L = float(dot(c, c)) ** 0.5
@@ -83,12 +82,12 @@ def speed_vector(P, values):
     if len(vals) != P.V:
         raise InputError(f"speed length {len(vals)} != V = {P.V}")
     if P.kernel == G.RATIONAL:
-        vals = tuple(G._as_coord(a, G.RATIONAL) for a in vals)
+        vals = tuple([G._as_coord(a, G.RATIONAL) for a in vals])
         for i in range(P.V):
             if vals[P.pairing[i]] != -vals[i]:
                 raise InputError(f"speed not odd at vertex {i}")
     else:
-        vals = tuple(float(a) for a in vals)
+        vals = tuple([float(a) for a in vals])
         scale = max(1.0, max(abs(a) for a in vals))
         for i in range(P.V):
             if abs(vals[P.pairing[i]] + vals[i]) > 1e-12 * scale:
@@ -99,7 +98,7 @@ def speed_vector(P, values):
 def trivial_speed(P, w):
     """The globally affine speed alpha_i = w.x_i (odd by symmetry)."""
     w = G.as_point(w, P.kernel)
-    return SpeedVector(alpha=tuple(dot(w, v) for v in P.vertices))
+    return SpeedVector(alpha=tuple([dot(w, v) for v in P.vertices]))
 
 
 @dataclass(frozen=True)
@@ -171,7 +170,7 @@ def _facet_triple_and_bary(P, cycle):
         if triple is None:
             raise NumericalDegeneracy("no affinely independent facet triple",
                                       offending=list(cycle))
-        rest = tuple(k for k in range(m) if k not in triple)
+        rest = tuple([k for k in range(m) if k not in triple])
 
     if not rest:
         return triple, {}
@@ -286,15 +285,15 @@ def admissible_space(P, theta):
             # would count them and shrink the nullspace below the trivial
             # speeds.  Rank therefore uses a loose relative cutoff, and the
             # trivial-containment check below guards the other direction.
-            ns = scipy.linalg.null_space(np.array(rows, dtype=float),
-                                         rcond=1e-8)
-            beta_basis = [tuple(ns[:, j]) for j in range(ns.shape[1])]
+            _, s, vt = np.linalg.svd(np.array(rows, dtype=float))
+            rank = int(np.sum(s > 1e-8 * s.max()))
+            beta_basis = [tuple(v) for v in vt[rank:]]
         else:
             eye = np.eye(k)
             beta_basis = [tuple(eye[:, j]) for j in range(k)]
-    basis = tuple(_lift(P, b) for b in beta_basis)
-    trivial = tuple(trivial_speed(P, w)
-                    for w in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    basis = tuple([_lift(P, b) for b in beta_basis])
+    trivial = tuple([trivial_speed(P, w)
+                     for w in ((1, 0, 0), (0, 1, 0), (0, 0, 1))])
     if P.kernel == G.RATIONAL:
         lim = None
     else:
@@ -486,7 +485,7 @@ def persistence_root(P, theta, alpha):
         n = cross(B, C)
         nu = dot(n, u)
         db, dc = al[b] - al[a], al[c] - al[a]
-        w = tuple(db * p + dc * q for p, q in zip(cross(u, C), cross(B, u)))
+        w = tuple([db * p + dc * q for p, q in zip(cross(u, C), cross(B, u))])
         for j in range(P.V):
             J = sub(X[j], X[a])
             s1 = dot(w, J) + (al[j] - al[a]) * nu

@@ -1,7 +1,8 @@
-"""Independent brute-force oracles (scipy/numpy only) used to cross-check
-the package's own geometry.  Everything here goes through scipy's qhull
-bindings or dense linear algebra, never through mahler3d itself."""
+"""Independent brute-force oracles used to cross-check the package's own
+geometry.  Everything here goes through scipy's qhull bindings, dense linear
+algebra or plain ``Fraction`` arithmetic, never through mahler3d itself."""
 import itertools
+from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import linprog
@@ -59,6 +60,75 @@ def hull_counts(points, tol=1e-8):
             if len(common) == 2:
                 edges.add(tuple(sorted(common)))
     return len(verts), len(edges), len(facets)
+
+
+def fraction_hull(points):
+    """Exact hull of rational points, every predicate in ``Fraction``s.
+
+    Enumerates every point triple, keeps the planes with all points on one
+    side, and orders each facet's strict corners.  Returns (sorted corner
+    indices, facets): a facet is (cycle, normal, offset), its cycle outward
+    from the origin and rotated to start at its smallest index, its plane
+    normal . x == offset with the cycle's Newell normal, and the facets sorted
+    by vertex set -- the layout of ``mahler3d.hull.Hull``.
+    """
+    pts = [tuple(Fraction(c) for c in p) for p in points]
+
+    def sub(a, b):
+        return tuple(x - y for x, y in zip(a, b))
+
+    def cross(a, b):
+        return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+                a[0] * b[1] - a[1] * b[0])
+
+    def dot(a, b):
+        return sum(x * y for x, y in zip(a, b))
+
+    def turn(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    seen, facets, corners = set(), [], set()
+    for i, j, k in itertools.combinations(range(len(pts)), 3):
+        nrm = cross(sub(pts[j], pts[i]), sub(pts[k], pts[i]))
+        if nrm == (0, 0, 0):
+            continue
+        side = [dot(nrm, sub(p, pts[i])) for p in pts]
+        inc = frozenset(m for m, s in enumerate(side) if s == 0)
+        if min(side) < 0 < max(side) or inc in seen:
+            continue
+        seen.add(inc)
+        # Strict corners of the facet polygon, by a monotone chain on the
+        # coordinate plane that drops the normal's largest component.
+        big = max(range(3), key=lambda c: abs(nrm[c]))
+        c0, c1 = [c for c in range(3) if c != big]
+        flat = {}
+        for m in sorted(inc):
+            flat.setdefault((pts[m][c0], pts[m][c1]), m)
+        order = sorted(flat)
+        ring = []
+        for seq in (order, order[::-1]):
+            chain = []
+            for q in seq:
+                while len(chain) >= 2 and turn(chain[-2], chain[-1], q) <= 0:
+                    chain.pop()
+                chain.append(q)
+            ring += chain[:-1]
+        cycle = [flat[q] for q in ring]
+        nw = [0, 0, 0]
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            p, q = pts[a], pts[b]
+            nw[0] += (p[1] - q[1]) * (p[2] + q[2])
+            nw[1] += (p[2] - q[2]) * (p[0] + q[0])
+            nw[2] += (p[0] - q[0]) * (p[1] + q[1])
+        if dot(nw, pts[cycle[0]]) < 0:
+            nw = [-c for c in nw]
+            cycle.reverse()
+        first = cycle.index(min(cycle))
+        cycle = tuple(cycle[first:] + cycle[:first])
+        corners.update(cycle)
+        facets.append((cycle, tuple(nw), dot(nw, pts[cycle[0]])))
+    facets.sort(key=lambda f: sorted(f[0]))
+    return tuple(sorted(corners)), tuple(facets)
 
 
 def polar_vertices_halfspace(points, tol=1e-9):
