@@ -1,11 +1,13 @@
 """Numeric kernels: the supporting-plane search of the double-precision hull
 and the origin-fan volume shared by both kernels.
 
-``support_planes`` is the hull's hot loop, vectorised with numpy over all
-point triples; the exact-rational hull never enters it.  ``fan_volume`` is
-a plain loop over coordinate tuples, exact on ``Fraction`` coordinates.
+``support_planes`` is the hull's hot loop, vectorised with numpy over the
+triples of antipodal pairs that ``pair_triples`` lists for both hull
+kernels; the exact-rational hull never enters it.  ``fan_volume`` is a plain
+loop over coordinate tuples, exact on ``Fraction`` coordinates.
 """
 
+import functools
 import itertools
 
 import numpy as np
@@ -15,59 +17,70 @@ def backend_name():
     return "numpy"
 
 
-def support_planes(pts, dist_tol, area_tol):
-    """Enumerate supporting planes of conv(pts) through point triples.
+@functools.lru_cache(maxsize=None)
+def pair_triples(k):
+    """Point indices (a, j1, j2), rows of a (3, 4 C(k, 3)) array, of the
+    triples (r_a, +-r_b, +-r_c), a < b < c, on k antipodal pairs laid out
+    as r_0..r_{k-1}, -r_0..-r_{k-1}: j1 is b or b + k, j2 is c or c + k.
 
-    Returns (planes, masks, ok): unit outward normals with offsets in
-    ``planes`` (m, 4), incident-point masks in ``masks`` (m, n) uint8, and
-    ``ok`` False when more planes turn up than a 3-polytope on n points can
-    have facets (degenerate input).
+    Every facet of an origin-symmetric body holds at most one point of a
+    pair, so each 3-subset of its vertices, or the antipodal 3-subset of the
+    opposite facet, is one of these triples exactly once.
     """
-    pts = np.ascontiguousarray(pts, dtype=np.float64)
-    n = pts.shape[0]
-    trip = np.array(list(itertools.combinations(range(n), 3)), dtype=np.int64)
-    p0 = pts[trip[:, 0]]
-    a = pts[trip[:, 1]] - p0
-    b = pts[trip[:, 2]] - p0
-    nx = a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1]
-    ny = a[:, 2] * b[:, 0] - a[:, 0] * b[:, 2]
-    nz = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+    rows = [(a, j1, j2) for a, b, c in itertools.combinations(range(k), 3)
+            for j1 in (b, b + k) for j2 in (c, c + k)]
+    triples = np.array(rows, dtype=np.intp).reshape(-1, 3).T.copy()
+    triples.flags.writeable = False      # shared by every call for this k
+    return triples
+
+
+def support_planes(pts, dist_tol, area_tol):
+    """Supporting planes of conv(pts), one per antipodal facet pair.
+
+    ``pts`` holds 2k points with pts[k + i] == -pts[i].  A plane u.x = h
+    through a pair triple, oriented so that h > 0, supports the body iff
+    |u.r_j| <= h + dist_tol for the k representatives r_j; it then passes
+    within dist_tol of {j : u.r_j = h} and {j + k : u.r_j = -h}, and its
+    mirror (-u, h) bounds the opposite facet.  Returns (planes, masks, ok):
+    unit normals with offsets in ``planes`` (m, 4), incident-point masks
+    over all 2k points in ``masks`` (m, 2k) uint8, one row per pair in the
+    orientation first found, and ``ok`` False when more facets turn up than
+    a 3-polytope on 2k points can have (degenerate input).
+    """
+    P = np.ascontiguousarray(np.asarray(pts, dtype=np.float64).T)   # (3, 2k)
+    n = P.shape[1]
+    k = n // 2
+    i0, i1, i2 = pair_triples(k)
+    p0 = P.take(i0, axis=1)
+    a = P.take(i1, axis=1) - p0
+    b = P.take(i2, axis=1) - p0
+    nx = a[1] * b[2] - a[2] * b[1]
+    ny = a[2] * b[0] - a[0] * b[2]
+    nz = a[0] * b[1] - a[1] * b[0]
     nn = (nx * nx + ny * ny + nz * nz) ** 0.5
-    keep = nn > area_tol
-    if not keep.any():
-        return np.zeros((0, 4)), np.zeros((0, n), np.uint8), True
-    ux = nx[keep] / nn[keep]
-    uy = ny[keep] / nn[keep]
-    uz = nz[keep] / nn[keep]
-    p0 = p0[keep]
-    h = ux * p0[:, 0] + uy * p0[:, 1] + uz * p0[:, 2]
-    s = (ux[:, None] * pts[None, :, 0] + uy[:, None] * pts[None, :, 1]
-         + uz[:, None] * pts[None, :, 2] - h[:, None])
-    above = (s > dist_tol).any(axis=1)
-    below = (s < -dist_tol).any(axis=1)
-    support = ~(above & below)
-    flip = support & above
-    ux[flip] = -ux[flip]
-    uy[flip] = -uy[flip]
-    uz[flip] = -uz[flip]
-    h[flip] = -h[flip]
-    s[flip] = -s[flip]
-    mask = (np.abs(s) <= dist_tol) & support[:, None]
-    enough = mask.sum(axis=1) >= 3
-    rows = np.nonzero(support & enough)[0]
-    planes = []
-    masks = []
-    seen = {}
-    for r in rows:
-        key = mask[r].tobytes()
-        if key in seen:
-            continue
-        seen[key] = True
-        planes.append((ux[r], uy[r], uz[r], h[r]))
-        masks.append(mask[r].astype(np.uint8))
-    if not planes:
-        return np.zeros((0, 4)), np.zeros((0, n), np.uint8), True
-    return np.array(planes), np.array(masks), len(planes) <= 8 * n + 16
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = np.array([nx, ny, nz]) / nn
+    h = u[0] * p0[0] + u[1] * p0[1] + u[2] * p0[2]
+    side = np.where(h < 0, -1.0, 1.0)
+    u *= side
+    h *= side
+    d = P[:, :k].T @ u                     # (k, triples): u.r_j
+    rows = np.nonzero((nn > area_tol)
+                      & (np.abs(d).max(axis=0) <= h + dist_tol))[0]
+    d, h, u = d[:, rows].T, h[rows, None], u[:, rows].T
+    mask = np.concatenate([np.abs(d - h) <= dist_tol,
+                           np.abs(d + h) <= dist_tol], axis=1)
+    flat = mask.tobytes()
+    first = []
+    seen = set()
+    for r in np.nonzero(mask.sum(axis=1) >= 3)[0].tolist():
+        key = flat[r * n:(r + 1) * n]
+        if key not in seen:
+            seen.add(key)
+            seen.add(key[k:] + key[:k])   # the antipodal facet's mask
+            first.append(r)
+    return (np.concatenate([u[first], h[first]], axis=1),
+            mask[first].astype(np.uint8), 2 * len(first) <= 8 * n + 16)
 
 
 def fan_volume(points, cycles):

@@ -363,7 +363,10 @@ def _add_common(sp, kernel_default, with_out=True):
     sp.add_argument("--kernel", choices=("rational", "double"),
                     default=kernel_default)
     sp.add_argument("--tol", type=float, default=None,
-                    help="facet coplanarity tolerance (double kernel)")
+                    help="point-identification tolerance: input points this "
+                         "close merge on the double kernel and raise "
+                         "ToleranceConflict on the rational kernel "
+                         "(default 1e-9 x scale on double, 0 on rational)")
     if with_out:
         sp.add_argument("--out", default=None, help="output path (default stdout)")
 

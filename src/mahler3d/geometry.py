@@ -63,25 +63,24 @@ class FaceLattice:
     unnormalized exact vectors in rational mode.
     """
 
-    def __init__(self, n_vertices, edges, facet_cycles, facet_planes,
-                 opposite_facet):
+    def __init__(self, n_vertices, facet_cycles, facet_planes, opposite_facet):
         self.n_vertices = n_vertices
-        self.edges = edges                    # tuple of sorted (i, j)
         self.facet_cycles = facet_cycles      # tuple of vertex-label cycles
         self.facet_planes = facet_planes      # tuple of (normal, offset)
         self.opposite_facet = opposite_facet  # antipodal facet involution
-        edge_label = {e: k for k, e in enumerate(edges)}
-        phi1 = [set() for _ in range(n_vertices)]
-        phi2 = [[] for _ in edges]
+        owners = {}  # sorted (i, j) -> the facets through that edge, ascending
         for f, cyc in enumerate(facet_cycles):
-            m = len(cyc)
-            for a in range(m):
-                i, j = cyc[a], cyc[(a + 1) % m]
-                k = edge_label[(min(i, j), max(i, j))]
-                phi2[k].append(f)
-                phi1[i].add(k)
+            i = cyc[-1]
+            for j in cyc:
+                owners.setdefault((i, j) if i < j else (j, i), []).append(f)
+                i = j
+        self.edges = tuple(sorted(owners))    # tuple of sorted (i, j)
+        self.phi2 = tuple([tuple(owners[e]) for e in self.edges])
+        phi1 = [set() for _ in range(n_vertices)]
+        for k, (i, j) in enumerate(self.edges):
+            phi1[i].add(k)
+            phi1[j].add(k)
         self.phi1 = tuple([frozenset(s) for s in phi1])
-        self.phi2 = tuple([tuple(sorted(p)) for p in phi2])
         self._vertex_facet_cycles = None
 
     @property
@@ -132,19 +131,22 @@ class FaceLattice:
         """For each vertex, its incident facets in cyclic order around it.
 
         This is the facet-cycle data of the order-reversed (polar) lattice.
+        Rings are walked for the representatives 0..V/2-1 only: the ring of
+        v + V/2 is the antipodal image of v's, traversed backwards.
         """
         if self._vertex_facet_cycles is not None:
             return self._vertex_facet_cycles
         edge_label = {e: k for k, e in enumerate(self.edges)}
         nxt = {}  # (facet, vertex) -> successor vertex in that facet's cycle
+        incident = [[] for _ in range(self.n_vertices)]
         for f, cyc in enumerate(self.facet_cycles):
             m = len(cyc)
             for a in range(m):
                 nxt[(f, cyc[a])] = cyc[(a + 1) % m]
+                incident[cyc[a]].append(f)
         out = []
-        for v in range(self.n_vertices):
-            incident = sorted(f for f, cyc in enumerate(self.facet_cycles) if v in cyc)
-            start = incident[0]
+        for v in range(self.n_vertices // 2):
+            start = incident[v][0]
             ring = [start]
             f = start
             while True:
@@ -155,13 +157,17 @@ class FaceLattice:
                 if f == start:
                     break
                 ring.append(f)
-                if len(ring) > len(incident):
+                if len(ring) > len(incident[v]):
                     raise NumericalDegeneracy(
                         f"facet ring around vertex {v} does not close", offending=[v])
-            if len(ring) != len(incident):
+            if len(ring) != len(incident[v]):
                 raise NumericalDegeneracy(
                     f"facet ring around vertex {v} misses facets", offending=[v])
             out.append(tuple(ring))
+        for ring in out[:self.n_vertices // 2]:
+            mirror = [self.opposite_facet[f] for f in reversed(ring)]
+            first = mirror.index(min(mirror))
+            out.append(tuple(mirror[first:] + mirror[:first]))
         self._vertex_facet_cycles = tuple(out)
         return self._vertex_facet_cycles
 
@@ -172,57 +178,20 @@ def same_labeled_lattice(a, b):
     return a.signature() == b.signature()
 
 
-def _build_lattice(n, hull_data, pairing):
+def _build_lattice(n, hull_data, opposite):
     """Assemble a FaceLattice from hull output; indices must already be
-    relabeled to the final vertex order."""
-    edge_count = {}
-    for f in hull_data:
-        cyc = f[0]
-        m = len(cyc)
-        for a in range(m):
-            i, j = cyc[a], cyc[(a + 1) % m]
-            e = (min(i, j), max(i, j))
-            edge_count[e] = edge_count.get(e, 0) + 1
-    bad = [e for e, c in edge_count.items() if c != 2]
+    relabeled to the final vertex order, and ``opposite`` maps each facet
+    to its antipode."""
+    lat = FaceLattice(n, tuple([f[0] for f in hull_data]),
+                      tuple([(f[1], f[2]) for f in hull_data]), tuple(opposite))
+    bad = [e for e, owners in zip(lat.edges, lat.phi2) if len(owners) != 2]
     if bad:
         raise NumericalDegeneracy(f"edges not shared by exactly two facets: {bad[:4]}",
                                   offending=bad)
-    edges = tuple(sorted(edge_count))
-    cycles = tuple([f[0] for f in hull_data])
-    planes = tuple([(f[1], f[2]) for f in hull_data])
-
-    key_to_label = {tuple(sorted(c)): k for k, c in enumerate(cycles)}
-    opposite = []
-    for c in cycles:
-        mk = tuple(sorted(pairing[i] for i in c))
-        if mk not in key_to_label:
-            raise NumericalDegeneracy("facet family not closed under antipodal map",
-                                      offending=list(c))
-        opposite.append(key_to_label[mk])
-
-    lat = FaceLattice(n, edges, cycles, planes, opposite_facet=tuple(opposite))
     if lat.V - lat.E + lat.F != 2:
         raise NumericalDegeneracy(
             f"Euler check failed: V={lat.V} E={lat.E} F={lat.F}")
     return lat
-
-
-def _canonicalize_pair_planes(cycles_planes, pairing):
-    """Force the plane of each antipodal facet to be the exact negation of its
-    representative's, so polar vertices pair exactly."""
-    key_of = [tuple(sorted(c)) for c, _, _ in cycles_planes]
-    index = {k: i for i, k in enumerate(key_of)}
-    out = list(cycles_planes)
-    for i, k in enumerate(key_of):
-        mk = tuple(sorted(pairing[v] for v in k))
-        j = index.get(mk)
-        if j is None or j == i:
-            raise NumericalDegeneracy("unpaired facet", offending=list(k))
-        if k < mk:
-            cyc, n, h = out[j]
-            rn, rh = out[i][1], out[i][2]
-            out[j] = (cyc, neg(rn), rh)
-    return out
 
 
 class SymPolytope:
@@ -381,11 +350,6 @@ def _assemble(reps, kernel, keep_order, dist_tol=None):
     h = _hull.hull_3d(points, exact=(kernel == RATIONAL), dist_tol=dist_tol)
 
     corner = set(h.corners)
-    mirror = {i: (i + k) % (2 * k) for i in range(2 * k)}
-    for i in corner:
-        if mirror[i] not in corner:
-            raise NumericalDegeneracy(
-                f"extreme-point set not antipodally closed at index {i}", offending=[i])
     kept_reps = [i for i in range(k) if i in corner]
     if len(kept_reps) < 3:
         raise DegenerateInput("fewer than three antipodal vertex pairs")
@@ -398,13 +362,10 @@ def _assemble(reps, kernel, keep_order, dist_tol=None):
     kk = len(kept_reps)
     pairing = tuple([a + kk for a in range(kk)] + [a for a in range(kk)])
 
-    relabeled = []
-    for f in h.facets:
-        cyc = _hull._canonical_cycle(tuple([new_of[i] for i in f.cycle]))
-        relabeled.append((cyc, f.normal, f.offset))
-    relabeled.sort(key=lambda t: tuple(sorted(t[0])))
-    relabeled = _canonicalize_pair_planes(relabeled, pairing)
-    lattice = _build_lattice(len(vertices), relabeled, pairing=pairing)
+    # new_of increases on the corners, so cycles stay canonical and sorted
+    relabeled = [(tuple([new_of[i] for i in f.cycle]), f.normal, f.offset)
+                 for f in h.facets]
+    lattice = _build_lattice(len(vertices), relabeled, h.opposite)
     cert = _find_dim_certificate(vertices, kernel)
     return SymPolytope(vertices, pairing, cert, lattice, kernel)
 

@@ -1,19 +1,28 @@
-"""Supporting-plane convex hull in R^3 over two arithmetic kernels.
+"""Supporting-plane convex hull of an origin-symmetric point set in R^3,
+over two arithmetic kernels.
+
+The input lists k points and then their negations, points[k + i] ==
+-points[i], so every facet F comes with its antipode -F.  Each antipodal
+pair is found once: the planes through the 4 C(k, 3) pair triples
+(r_a, +-r_b, +-r_c), a < b < c, are tested for support against the k
+representatives alone, |u.r_j| <= h.  The polygon, Newell normal and
+orientation of a pair are computed on its member with the smaller sorted
+vertex key; the other member gets the mirrored, reversed cycle, the negated
+normal and the same offset.  Polygons come from a 2D monotone chain, which
+also classifies non-corner points as non-extreme.
 
 The same O(V^4) algorithm runs exactly (all sign tests exact, tolerances
-zero) or over float64 (sign tests against a scaled distance tolerance, with
-the triple loop vectorised by numpy in ``_kernels.support_planes``).  Facets
-are discovered as maximal coplanar supporting sets; their polygons are
-recovered by a 2D monotone chain, which simultaneously classifies non-corner
-points as non-extreme.
-
-The exact kernel scales its rational input once by ``D``, the least common
-multiple of the coordinate denominators, and runs every predicate (affine
-dimension, supporting sets, polygon corners, Newell normal, orientation) on
-the integer points ``p·D``, where Python's integers are exact and far cheaper
-than ``Fraction`` arithmetic.  ``Fraction``s appear only at output: the
-Newell normal is homogeneous of degree 2 and the plane offset of degree 3 in
-the coordinates, so a facet found on the integer points has normal
+zero) or over float64 (sign tests against distance and area tolerances
+relative to the largest coordinate, with the triple search vectorised by
+numpy in ``_kernels.support_planes``; coplanar sets that a tolerance
+splinters are merged, pair by pair).  The exact kernel scales its rational
+input once by ``D``, the least common multiple of the coordinate
+denominators, and runs every predicate (affine dimension, supporting sets,
+polygon corners, Newell normal, orientation) on the integer points ``p·D``,
+where Python's integers are exact and far cheaper than ``Fraction``
+arithmetic.  ``Fraction``s appear only at output: the Newell normal is
+homogeneous of degree 2 and the plane offset of degree 3 in the
+coordinates, so a facet found on the integer points has normal
 ``nw / D**2`` and offset ``nw·p / D**3`` on the input.
 
 The algorithm is quartic in the vertex count and intended for the small
@@ -29,9 +38,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import _kernels
-from .errors import DegenerateInput, NumericalDegeneracy
+from .errors import DegenerateInput, InputError, NumericalDegeneracy
 
-DIST_TOL_REL = 1e-9       # facet-merging tolerance on normalized plane residuals
+DIST_TOL_REL = 1e-9       # plane-residual tolerance, relative to the largest coordinate
 AREA_TOL_REL = 1e-12      # degenerate-triple and 2D corner strictness scale
 
 
@@ -65,6 +74,7 @@ class Facet:
 class Hull:
     corners: tuple        # sorted input indices of extreme points
     facets: tuple         # Facet records, sorted by vertex-set key
+    opposite: tuple       # index of each facet's antipodal facet
 
 
 def affine_dim(points, exact, tol2=0):
@@ -113,6 +123,15 @@ def _cross2(o, a, b):
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
+def _chain(pts2, seq, eps2):
+    out = []
+    for i in seq:
+        while len(out) >= 2 and _cross2(pts2[out[-2]], pts2[out[-1]], pts2[i]) <= eps2:
+            out.pop()
+        out.append(i)
+    return out
+
+
 def polygon_corners(pts2, eps2):
     """Strict corners of the 2D convex hull of ``pts2``, counterclockwise.
 
@@ -122,24 +141,11 @@ def polygon_corners(pts2, eps2):
     uniq = {}
     for i, p in enumerate(pts2):
         uniq.setdefault(p, i)
-    order = sorted(uniq.values(), key=lambda i: pts2[i])
+    order = [uniq[p] for p in sorted(uniq)]
     if len(order) < 3:
-        return list(order)
-
-    def chain(seq):
-        out = []
-        for i in seq:
-            while len(out) >= 2 and _cross2(pts2[out[-2]], pts2[out[-1]], pts2[i]) <= eps2:
-                out.pop()
-            out.append(i)
-        return out
-
-    lower = chain(order)
-    upper = chain(reversed(order))
-    ring = lower[:-1] + upper[:-1]
-    if len(ring) < 3:
-        return []
-    return ring
+        return order
+    ring = _chain(pts2, order, eps2)[:-1] + _chain(pts2, order[::-1], eps2)[:-1]
+    return ring if len(ring) >= 3 else []
 
 
 def _integer_points(points):
@@ -150,86 +156,114 @@ def _integer_points(points):
             for p in points], den
 
 
+def _mirror(indices, k):
+    """Antipodal images of point indices under the layout i <-> i + k."""
+    n = 2 * k
+    return [(i + k) % n for i in indices]
+
+
 def _support_sets_exact(points):
-    """All maximal coplanar supporting sets, by exact triple enumeration."""
+    """One maximal coplanar supporting set per antipodal facet pair, by
+    exact enumeration of the pair triples (r_a, +-r_b, +-r_c)."""
     n = len(points)
+    k = n // 2
+    reps = points[:k]
     facets = []
     claimed = set()
-    for i, j, k in itertools.combinations(range(n), 3):
-        if (i, j, k) in claimed:
+    for a, j1, j2 in zip(*_kernels.pair_triples(k).tolist()):
+        if (a, j1, j2) in claimed:
             continue
-        nrm = cross(sub(points[j], points[i]), sub(points[k], points[i]))
-        if nrm == (0, 0, 0):
+        p0 = reps[a]
+        nrm = cross(sub(points[j1], p0), sub(points[j2], p0))
+        h = dot(nrm, p0)
+        if h == 0:      # degenerate triple, or a plane through 0
             continue
-        h = dot(nrm, points[i])
-        above = below = False
-        inc = []
-        for m in range(n):
-            s = dot(nrm, points[m]) - h
-            if s > 0:
-                above = True
-            elif s < 0:
-                below = True
-            else:
-                inc.append(m)
-            if above and below:
-                break
-        if above and below:
-            continue
-        if above:
+        if h < 0:
             nrm = neg(nrm)
             h = -h
-        facets.append((frozenset(inc), nrm, h))
-        for t in itertools.combinations(sorted(inc), 3):
-            claimed.add(t)
+        inc = []
+        for j in range(k):
+            s = dot(nrm, reps[j])
+            if s > h or s < -h:
+                break
+            if s == h:
+                inc.append(j)
+            elif s == -h:
+                inc.append(j + k)
+        else:
+            facets.append((frozenset(inc), nrm, h))
+            for t in itertools.combinations(sorted(inc, key=lambda i: i % k), 3):
+                claimed.add(tuple(_mirror(t, k)) if t[0] >= k else t)
     return facets
 
 
 def _support_sets_double(pts, dist_tol, area_tol):
-    """Supporting sets via ``_kernels.support_planes``, merging tolerance splinters.
+    """Supporting sets via ``_kernels.support_planes``, one per antipodal
+    pair, merging tolerance splinters.
 
     Two discovered sets sharing an affinely independent triple describe the
-    same facet plane and are unioned; their plane is refit from the member
-    points.
+    same facet plane and are unioned, and so are their mirrors; only pairs
+    of sets that share three or more points are inspected.
     """
     planes, masks, ok = _kernels.support_planes(pts, dist_tol, area_tol)
     if not ok:
         raise NumericalDegeneracy("supporting-plane capacity overflow; input too degenerate")
-    sets = [frozenset(np.nonzero(m)[0].tolist()) for m in masks]
+    sets = [[] for _ in masks]
+    for r, c in zip(*[a.tolist() for a in np.nonzero(masks)]):
+        sets[r].append(c)
     planes = [(tuple(p[:3]), p[3]) for p in planes.tolist()]
+    if _splinters(masks):
+        sets, planes = _merge_splinters(pts, sets, planes, dist_tol, area_tol)
+    return [(s, p[0], p[1]) for s, p in zip(sets, planes)]
+
+
+def _splinters(masks):
+    """(a, b, mirrored) for the pairs a < b whose facets share three or more
+    points: facet a with facet b, or with b's antipode when ``mirrored``."""
+    M = np.asarray(masks, dtype=float)
+    m, n = M.shape
+    shared = M @ np.concatenate([M, np.roll(M, n // 2, axis=1)]).T
+    return [(a, c % m, c >= m) for a, c in zip(*np.nonzero(shared >= 3))
+            if a < c % m]
+
+
+def _merge_splinters(pts, sets, planes, dist_tol, area_tol):
+    """Union the sets of two pairs whose facets, in either orientation,
+    share an affinely independent triple, until none do; the plane is refit
+    to the union by least squares."""
+    n = len(pts)
     tol2 = area_tol * area_tol
     tpoints = pts.tolist()
-    changed = True
-    while changed:
-        changed = False
-        for a in range(len(sets)):
-            for b in range(a + 1, len(sets)):
-                shared = sets[a] & sets[b]
-                if len(shared) >= 3 and affine_dim(
-                        [tpoints[i] for i in sorted(shared)], False, tol2)[0] >= 2:
-                    merged = sets[a] | sets[b]
-                    member = np.array(sorted(merged))
-                    sub_pts = pts[member]
-                    centroid = sub_pts.mean(axis=0)
-                    _, _, vt = np.linalg.svd(sub_pts - centroid)
-                    nrm = vt[2]
-                    h = float(nrm @ centroid)
-                    resid = pts @ nrm - h
-                    if resid.max() < -resid.min():
-                        nrm, h, resid = -nrm, -h, -resid
-                    if resid.max() > dist_tol:
-                        raise NumericalDegeneracy(
-                            "cannot merge near-coplanar facets within tolerance",
-                            offending=sorted(merged))
-                    inc = frozenset(np.nonzero(np.abs(resid) <= dist_tol)[0].tolist())
-                    keep = [s_p for idx, s_p in enumerate(zip(sets, planes)) if idx not in (a, b)]
-                    sets = [s for s, _ in keep] + [inc]
-                    planes = [p for _, p in keep] + [(tuple(nrm), h)]
-                    changed = True
-                    break
-            if changed:
-                break
-    return list(zip(sets, (p[0] for p in planes), (p[1] for p in planes)))
+    sets = [frozenset(s) for s in sets]
+    while True:
+        masks = np.zeros((len(sets), n))
+        for r, s in enumerate(sets):
+            masks[r, list(s)] = 1
+        for a, b, mirrored in _splinters(masks):
+            other = frozenset(_mirror(sets[b], n // 2)) if mirrored else sets[b]
+            shared = sorted(sets[a] & other)
+            if affine_dim([tpoints[i] for i in shared], False, tol2)[0] < 2:
+                continue
+            merged = sorted(sets[a] | other)
+            sub_pts = pts[merged]
+            centroid = sub_pts.mean(axis=0)
+            _, _, vt = np.linalg.svd(sub_pts - centroid)
+            nrm = vt[2]
+            h = float(nrm @ centroid)
+            resid = pts @ nrm - h
+            if resid.max() > -resid.min():    # orient the body below the plane
+                nrm, h, resid = -nrm, -h, -resid
+            if resid.max() > dist_tol:
+                raise NumericalDegeneracy(
+                    "cannot merge near-coplanar facets within tolerance",
+                    offending=merged)
+            keep = [i for i in range(len(sets)) if i not in (a, b)]
+            sets = [sets[i] for i in keep] + [
+                frozenset(np.nonzero(np.abs(resid) <= dist_tol)[0].tolist())]
+            planes = [planes[i] for i in keep] + [(tuple(nrm), h)]
+            break
+        else:
+            return sets, planes
 
 
 def _project_axis(normal):
@@ -260,26 +294,37 @@ def _canonical_cycle(cycle):
 
 
 def hull_3d(points, exact, dist_tol=None):
-    """Hull of ``points`` (list of coordinate 3-tuples), whose interior must
-    contain the origin; facets are oriented outward from it.
+    """Hull of an origin-symmetric point list: ``points`` holds k coordinate
+    3-tuples followed by their negations, points[k + i] == -points[i], and
+    the origin must be interior.  Facets are oriented outward from it.
+
+    Each antipodal facet pair is found once, through a triple of pair
+    points; its polygon, Newell normal and orientation are computed on the
+    member with the smaller sorted vertex key, and the other member gets the
+    mirrored, reversed cycle, the negated normal and the same offset.
+    ``Hull.opposite`` maps each facet to its antipode.
 
     exact=True takes rational coordinates (``Fraction`` or ``int``), decides
     every predicate on their integer images and returns ``Fraction`` planes;
     otherwise points must be floats and ``dist_tol`` (absolute plane-residual
-    tolerance) applies.  Raises DegenerateInput below dimension 3 and
-    NumericalDegeneracy when the facet structure cannot be certified.
+    tolerance) applies.  Raises InputError when the list breaks the layout,
+    DegenerateInput below dimension 3 and NumericalDegeneracy when the facet
+    structure cannot be certified.
     """
     n = len(points)
+    k = n // 2
+    if n % 2 or any(tuple(points[k + i]) != neg(points[i]) for i in range(k)):
+        raise InputError("hull input must be k points followed by their "
+                         "negations")
     if exact:
         points, den = _integer_points(points)
         dim, _ = affine_dim(points, True)
         if dim < 3:
             raise DegenerateInput(f"affine hull has dimension {dim} < 3")
         raw = _support_sets_exact(points)
-        eps2_of = lambda diam2: 0
     else:
         arr = np.asarray(points, dtype=float)
-        scale = max(1.0, float(np.abs(arr).max()))
+        scale = float(np.abs(arr).max())
         if dist_tol is None:
             dist_tol = DIST_TOL_REL * scale
         area_tol = AREA_TOL_REL * scale * scale
@@ -288,11 +333,16 @@ def hull_3d(points, exact, dist_tol=None):
             raise DegenerateInput(f"affine hull has dimension {dim} < 3")
         raw = _support_sets_double(arr, dist_tol, area_tol)
         points = arr.tolist()
-        eps2_of = lambda diam2: AREA_TOL_REL * diam2
 
+    # anti[i] labels the point -points[i]; a point listed twice (as at a
+    # breakpoint where one pair moves onto another) keeps its first label.
+    first = {}
+    for i, p in enumerate(points):
+        first.setdefault(tuple(p), i)
+    anti = [first[tuple(points[(i + k) % n])] for i in range(n)]
     facets = []
-    corner_set = set()
-    for inc, nrm, h in raw:
+    keys = []
+    for inc, nrm, _ in raw:
         keep = _project_axis(nrm)
         idxs = sorted(inc)
         pts2 = [(points[i][keep[0]], points[i][keep[1]]) for i in idxs]
@@ -302,16 +352,19 @@ def hull_3d(points, exact, dist_tol=None):
             xs = [p[0] for p in pts2]
             ys = [p[1] for p in pts2]
             diam2 = max((max(xs) - min(xs)) ** 2, (max(ys) - min(ys)) ** 2, 1e-300)
-            eps2 = eps2_of(diam2)
+            eps2 = AREA_TOL_REL * diam2
         ring = polygon_corners(pts2, eps2)
         if len(ring) < 3:
             raise NumericalDegeneracy("facet polygon collapsed", offending=idxs)
-        cycle = tuple([idxs[r] for r in ring])
-        corner_set.update(cycle)
-        facets.append((cycle, nrm, h))
-
-    oriented = []
-    for cycle, nrm, h in facets:
+        cycle = [idxs[r] for r in ring]
+        key, mirror_key = sorted(cycle), sorted([anti[i] for i in cycle])
+        if mirror_key < key:
+            # Work on the mirror.  Its monotone chain sees the points
+            # negated, so its ring starts where this ring's upper chain does.
+            top = max(range(len(ring)), key=lambda a: pts2[ring[a]])
+            cycle = [anti[i] for i in cycle[top:] + cycle[:top]]
+            key, mirror_key = mirror_key, key
+        cycle = tuple(cycle)
         nw = _newell_normal(points, cycle)
         if all(c == 0 for c in nw):
             raise NumericalDegeneracy("zero Newell normal", offending=list(cycle))
@@ -327,10 +380,18 @@ def hull_3d(points, exact, dist_tol=None):
         else:
             nn = (nw[0] * nw[0] + nw[1] * nw[1] + nw[2] * nw[2]) ** 0.5
             normal = (nw[0] / nn, nw[1] / nn, nw[2] / nn)
-            offset = sum(dot(normal, points[i]) for i in cycle) / len(cycle)
-        oriented.append(Facet(_canonical_cycle(cycle), normal, offset))
+            offset = sum([dot(normal, points[i]) for i in cycle]) / len(cycle)
+        facets.append(Facet(_canonical_cycle(cycle), normal, offset))
+        facets.append(Facet(_canonical_cycle(tuple([anti[i] for i in cycle[::-1]])),
+                            neg(normal), offset))
+        keys += [key, mirror_key]
 
-    oriented.sort(key=lambda f: tuple(sorted(f.cycle)))
-    if len(oriented) < 4:
-        raise NumericalDegeneracy(f"only {len(oriented)} certified facets")
-    return Hull(corners=tuple(sorted(corner_set)), facets=tuple(oriented))
+    if len(facets) < 4:
+        raise NumericalDegeneracy(f"only {len(facets)} certified facets")
+    order = sorted(range(len(facets)), key=keys.__getitem__)
+    position = [0] * len(facets)
+    for p, i in enumerate(order):
+        position[i] = p
+    return Hull(corners=tuple(sorted({i for f in facets for i in f.cycle})),
+                facets=tuple([facets[i] for i in order]),
+                opposite=tuple([position[i ^ 1] for i in order]))

@@ -35,9 +35,10 @@ def polar(P):
     """The polar body of ``P`` as a SymPolytope with the order-reversed lattice.
 
     Vertices are n/h over facet planes; the facet cycle attached to each
-    original vertex v is v's facet ring, oriented outward along v.  Because
-    antipodal facet planes of ``P`` are exact negations, the polar's vertex
-    pairing is again exact.
+    original vertex v is v's facet ring, oriented outward along v, and is
+    computed for the representatives only: the cycle of v + k is the
+    mirror of v's, reversed.  Because antipodal facet planes of ``P`` are
+    exact negations, the polar's vertex pairing is again exact.
     """
     lat = P.lattice
     opp = lat.opposite_facet
@@ -55,8 +56,9 @@ def polar(P):
     pairing = tuple(list(range(K, 2 * K)) + list(range(K)))
 
     rings = lat.vertex_facet_cycles()
+    k = P.n_pairs
     tagged = []
-    for v in range(P.V):
+    for v in range(k):
         cyc = tuple([new_of[f] for f in rings[v]])
         pv = P.vertices[v]
         nw = _newell_normal(vertices, cyc)
@@ -66,14 +68,17 @@ def polar(P):
         if side < 0:
             cyc = tuple(reversed(cyc))
         if P.kernel == G.RATIONAL:
-            plane = (pv, Fraction(1))
+            normal, offset = pv, Fraction(1)
         else:
             L = float(dot(pv, pv)) ** 0.5
-            plane = ((pv[0] / L, pv[1] / L, pv[2] / L), 1.0 / L)
-        tagged.append((_canonical_cycle(cyc), plane[0], plane[1], v))
-    tagged.sort(key=lambda t: tuple(sorted(t[0])))
+            normal, offset = (pv[0] / L, pv[1] / L, pv[2] / L), 1.0 / L
+        mirror = tuple([(a + K) % (2 * K) for a in reversed(cyc)])
+        tagged.append((_canonical_cycle(cyc), normal, offset, v))
+        tagged.append((_canonical_cycle(mirror), neg(normal), offset, v + k))
+    tagged.sort(key=lambda t: sorted(t[0]))
+    position = {t[3]: p for p, t in enumerate(tagged)}
     lattice = G._build_lattice(2 * K, [(c, n, h) for c, n, h, _ in tagged],
-                               pairing=pairing)
+                               [position[(t[3] + k) % P.V] for t in tagged])
     cert = G._find_dim_certificate(vertices, P.kernel)
     Q = G.SymPolytope(vertices, pairing, cert, lattice, P.kernel)
     # bookkeeping for the order reversal, consumed by verify_incidence_duality

@@ -190,6 +190,27 @@ def test_exit_1_on_input_errors(capsys, tmp_path, cubocta_json):
     assert json.loads(err)["error"] == "DegenerateInput"
 
 
+def test_tol_identifies_points_on_each_kernel(capsys, tmp_path):
+    # Two vertices 1e-4 apart: --tol 1e-3 merges them on the double kernel
+    # and is a conflict on the rational one; the default keeps both.
+    body = write_body(tmp_path, "close.json",
+                      [(1, 0, 0), (1, "1/10000", 0), (0, 1, 0), (0, 0, 1)])
+    for tol, n_vertices in ((None, 8), ("1e-3", 6)):
+        extra = ["--tol", tol] if tol else []
+        rc, out, _ = run_cli(capsys, "analyze", body, "--kernel", "double",
+                             *extra)
+        assert rc == 0
+        assert json.loads(out)["n_vertices"] == n_vertices
+    rc, out, _ = run_cli(capsys, "analyze", body)
+    assert rc == 0 and json.loads(out)["n_vertices"] == 8
+    rc, out, err = run_cli(capsys, "analyze", body, "--tol", "1e-3")
+    assert rc == 1 and out == ""
+    assert json.loads(err)["error"] == "ToleranceConflict"
+    with pytest.raises(SystemExit):
+        cli.main(["analyze", "--help"])
+    assert "point-identification tolerance" in capsys.readouterr().out
+
+
 def test_product_rejects_non_symmetric_body(capsys, tmp_path):
     # Mirroring the simplex would silently report the octahedron's 32/3.
     simplex = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]

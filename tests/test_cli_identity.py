@@ -1,0 +1,57 @@
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+import cli_identity  # noqa: E402
+
+# A stand-in package: echoes its arguments, writes "<answer>\n" to any
+# --out file and fails on "classify".
+FAKE_MAIN = '''import sys
+args = sys.argv[1:]
+if "--out" in args:
+    with open(args[args.index("--out") + 1], "w") as fh:
+        fh.write("{answer}\\n")
+print(" ".join(args))
+if args[0] == "classify":
+    sys.exit("no verdict")
+'''
+
+
+def _checkout(root, answer):
+    pkg = root / "src" / "mahler3d"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text("")
+    (pkg / "__main__.py").write_text(FAKE_MAIN.format(answer=answer))
+    return root
+
+
+def test_command_set_covers_every_command():
+    cmds = cli_identity.commands()
+    assert len({name for name, _ in cmds}) == len(cmds)
+    assert {argv[0] for _, argv in cmds} == {
+        "analyze", "polar", "product", "classify", "speeds", "deform",
+        "bound-sweep", "optimize", "corpus"}
+    for name, argv in cmds:
+        written = [argv[i + 1] for i, a in enumerate(argv) if a in ("--out", "--csv")]
+        assert all(Path(w).stem == name for w in written)
+
+
+def test_fake_pair_lists_the_differing_files(tmp_path):
+    cmds = [("product-cube", ["product", "bodies/cube.json",
+                              "--out", "out/product-cube.json"]),
+            ("classify-cube", ["classify", "bodies/cube.json"])]
+    outs = [cli_identity.run_side(_checkout(tmp_path / side, answer),
+                                  tmp_path / f"work-{side}", cmds)
+            for side, answer in (("parent", "32/3"), ("change", "10"))]
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == ["classify-cube.exit", "classify-cube.stderr",
+                     "classify-cube.stdout", "product-cube.exit",
+                     "product-cube.json", "product-cube.stderr",
+                     "product-cube.stdout"]
+    assert (outs[0] / "classify-cube.exit").read_text() == "1\n"
+    assert (outs[0] / "product-cube.stdout").read_text() == (
+        "product bodies/cube.json --out out/product-cube.json\n")
+    assert cli_identity.differences(*outs) == ["product-cube.json"]
+    (outs[1] / "product-cube.json").unlink()
+    (outs[1] / "extra.csv").write_text("")
+    assert cli_identity.differences(*outs) == ["extra.csv", "product-cube.json"]

@@ -1,12 +1,15 @@
 """The exact hull, which decides every predicate on integer images of its
-rational input, against the ``Fraction`` reference hull of ``oracles``."""
+rational input, against the ``Fraction`` reference hull of ``oracles``, and
+the point layout both hull kernels require: k points, then their
+negations."""
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import mahler3d as M
-from mahler3d import hull
+from mahler3d import _kernels, hull
+from mahler3d.errors import InputError, NumericalDegeneracy
 
 import oracles
 from conftest import CUBE_REPS
@@ -28,6 +31,28 @@ def _symmetric(reps):
     return [tuple(p) for p in reps] + [tuple(-c for c in p) for p in reps]
 
 
+def _rotated(reps, seed):
+    """``reps`` under a seeded orthogonal map, then their negations."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(3, 3)))
+    return _symmetric([tuple(float(c) for c in q @ np.array(p, dtype=float))
+                       for p in reps])
+
+
+def assert_antipodal_pairs(h, n):
+    """Facets come in exact antipodal pairs and the corners are closed
+    under the pairing i <-> i + n/2."""
+    k = n // 2
+    assert set(h.corners) == {(i + k) % n for i in h.corners}
+    for i, f in enumerate(h.facets):
+        j = h.opposite[i]
+        g = h.facets[j]
+        assert j != i and h.opposite[j] == i
+        assert g.cycle == hull._canonical_cycle(
+            tuple([(v + k) % n for v in reversed(f.cycle)]))
+        assert g.normal == tuple(-c for c in f.normal)
+        assert g.offset == f.offset
+
+
 def _sphere(n_pairs, rng):
     pts = rng.normal(size=(n_pairs, 3))
     return pts / np.linalg.norm(pts, axis=1)[:, None]
@@ -43,14 +68,15 @@ def test_dyadic_bodies_and_their_polars(bits):
     rng = np.random.default_rng(bits)
     for n_pairs in (3, 4, 6):
         reps = _dyadic(_sphere(n_pairs, rng), bits)
-        # One non-extreme point, with a denominator of 3 * 2^bits.
-        points = _symmetric(reps) + [tuple(c / 3 for c in reps[0])]
-        h = _assert_same_hull(points)
+        # One non-extreme pair, with a denominator of 3 * 2^bits.
+        h = _assert_same_hull(_symmetric(reps + [tuple(c / 3 for c in reps[0])]))
         assert len(h.corners) == 2 * n_pairs
-        # The polar's vertices n/h have non-dyadic denominators.
-        polar = [tuple(c / f.offset for c in f.normal) for f in h.facets]
+        # The polar's vertices n/h, one per antipodal facet pair, have
+        # non-dyadic denominators.
+        polar = [tuple(c / f.offset for c in f.normal)
+                 for i, f in enumerate(h.facets) if i < h.opposite[i]]
         assert any(c.denominator & (c.denominator - 1) for p in polar for c in p)
-        _assert_same_hull(polar)
+        _assert_same_hull(_symmetric(polar))
 
 
 def test_mixed_denominators():
@@ -86,3 +112,57 @@ def test_bodies_at_exact_breakpoints(cubocta_r):
                      for x, a in zip(P.vertices, alpha.alpha)]
             h = _assert_same_hull(moved)
             assert [f.cycle for f in h.facets] != [f.cycle for f in start.facets]
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_non_symmetric_list_is_rejected(exact):
+    reps = [tuple(Fraction(c) if exact else float(c) for c in p)
+            for p in CUBE_REPS]
+    good = _symmetric(reps)
+    assert len(hull.hull_3d(good, exact).facets) == 6
+    shifted = good[:-1] + [tuple(c + 1 for c in good[-1])]
+    for points in (good[:-1], shifted, good + [good[0]], good[:4] + good[:3:-1]):
+        with pytest.raises(InputError):
+            hull.hull_3d(points, exact)
+
+
+# A roof: apex A and hinge B, C on z = 1, and a fourth corner D delta below
+# that plane, 0.2 from the hinge.  D is within delta of plane ABC, A is
+# 10 delta off plane BCD, so a tolerance in between splinters ABCD.
+DELTA = 1e-10
+FOLD = [(0, 2, 1), (-1, 0, 1), (1, 0, 1), (0, -0.2, 1 - DELTA),
+        (3, 0, 0), (0, 3, 0)]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_splintered_facet_merges_with_its_mirror(seed):
+    points = _rotated(FOLD, seed)
+    tol = 5 * DELTA
+    area_tol = hull.AREA_TOL_REL * np.abs(points).max() ** 2
+    _, masks, _ = _kernels.support_planes(points, tol, area_tol)
+    assert hull._splinters(masks)
+    h = hull.hull_3d(points, False, dist_tol=tol)
+    assert_antipodal_pairs(h, len(points))
+    quads = [f.cycle for f in h.facets if len(f.cycle) == 4]
+    assert [sorted(c) for c in quads] == [[0, 1, 2, 3], [6, 7, 8, 9]]
+    # Below delta the fold is two triangles, above 10 delta one plane.
+    h = hull.hull_3d(points, False, dist_tol=DELTA / 2)
+    assert all(len(f.cycle) == 3 for f in h.facets)
+    _, masks, _ = _kernels.support_planes(points, 20 * DELTA, area_tol)
+    assert not hull._splinters(masks)
+
+
+# A roof bent along the hinge B, C: D lies 3 theta below z = 1 at distance
+# 3 from the hinge, A on z = 1 at distance 3, and G between A and the hinge
+# at 0.1.  Planes BCD and z = 1 both hold G within 0.3 theta, but no plane
+# holds A, B, C, D and G within it.
+THETA = 1e-10
+HINGE = [(-1, 0, 1), (1, 0, 1), (0, 0.1, 1), (0, 3, 1), (0, -3, 1 - 3 * THETA),
+         (4, 0, 0), (0, 4, 0)]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_splinters_bent_past_tolerance_cannot_merge(seed):
+    with pytest.raises(NumericalDegeneracy, match="cannot merge") as err:
+        hull.hull_3d(_rotated(HINGE, seed), False, dist_tol=0.3 * THETA)
+    assert err.value.offending == [0, 1, 2, 3, 4]

@@ -1,0 +1,136 @@
+"""Compare the CLI outputs of two checkouts, file by file.
+
+    python3 tools/cli_identity.py PARENT CHANGE [--work DIR]
+
+Runs one fixed set of ``python -m mahler3d`` commands with the package of
+each checkout (``<checkout>/src``): ``analyze``, ``polar``, ``product``,
+``classify``, ``speeds``, ``deform`` and ``bound-sweep`` on named bodies
+on the rational kernel, then ``optimize`` on both kernels and ``corpus``.
+Each side runs in its own work directory from the same relative paths, so
+the manifests, which record the paths, match.  Every command leaves its
+output file, stdout, stderr and exit code under ``out/``; the script lists
+every file that differs or exists on one side only and exits 1 if any does.
+"""
+
+import argparse
+import filecmp
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from fractions import Fraction
+from pathlib import Path
+
+import numpy as np
+
+
+def _dyadic(n_pairs, seed, bits=20):
+    """``n_pairs`` unit vectors from ``seed`` on the grid 2^-bits."""
+    pts = np.random.default_rng(seed).normal(size=(n_pairs, 3))
+    pts /= np.linalg.norm(pts, axis=1)[:, None]
+    return [[str(Fraction(round(float(c) * 2 ** bits), 2 ** bits)) for c in p]
+            for p in pts]
+
+
+BODIES = {
+    "cube": [[1, 1, 1], [1, 1, -1], [1, -1, 1], [-1, 1, 1]],
+    "octahedron": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+    "cuboctahedron": [[1, 1, 0], [1, -1, 0], [1, 0, 1], [1, 0, -1],
+                      [0, 1, 1], [0, 1, -1]],
+    "hexagonal_prism": [[2, 0, 1], [1, 2, 1], [-1, 2, 1],
+                        [2, 0, -1], [1, 2, -1], [-1, 2, -1]],
+    "dyadic4": _dyadic(4, 4),
+    "dyadic5": _dyadic(5, 5),
+}
+THETAS = ("0,0,1", "1,1,0", "1,0,0", "3,5,7")
+
+
+def commands():
+    """(name, argv) of the fixed command set; a command writing a file
+    writes ``out/<name>.json`` or ``out/<name>.csv``."""
+    cmds = []
+    for body in BODIES:
+        path = f"bodies/{body}.json"
+        for cmd in ("analyze", "polar", "product", "classify"):
+            name = f"{cmd}-{body}"
+            cmds.append((name, [cmd, path, "--out", f"out/{name}.json"]))
+        for i, theta in enumerate(THETAS):
+            name = f"speeds-{body}-theta{i}"
+            cmds.append((name, ["speeds", path, "--theta", theta,
+                                "--out", f"out/{name}.json"]))
+            for width in ("certified", "eighth"):
+                name = f"deform-{body}-theta{i}-{width}"
+                extra = ["--t-max", "1/8"] if width == "eighth" else []
+                cmds.append((name, ["deform", path, "--theta", theta, *extra,
+                                    "--csv", f"out/{name}.csv"]))
+        name = f"bound-sweep-{body}"
+        cmds.append((name, ["bound-sweep", path, "--dirs", "16", "--seed", "3",
+                            "--csv", f"out/{name}.csv"]))
+    for name, extra in (
+            ("optimize-cuboctahedron-rational",
+             ["--input", "bodies/cuboctahedron.json", "--kernel", "rational",
+              "--seed", "5"]),
+            ("optimize-random5-double", ["--pairs", "5", "--seed", "7"]),
+            ("optimize-dyadic4-double",
+             ["--input", "bodies/dyadic4.json", "--seed", "1"])):
+        cmds.append((name, ["optimize", *extra, "--out", f"out/{name}.json",
+                            "--csv", f"out/{name}.csv"]))
+    cmds.append(("corpus", ["corpus", "--count", "40", "--seed", "11",
+                            "--out", "out/corpus.json"]))
+    return cmds
+
+
+def run_side(checkout, workdir, cmds=None):
+    """Run ``cmds`` (default: ``commands()``) with ``checkout``'s package
+    from ``workdir``; returns the ``out/`` directory."""
+    workdir = Path(workdir)
+    (workdir / "bodies").mkdir(parents=True, exist_ok=True)
+    out = workdir / "out"
+    out.mkdir(exist_ok=True)
+    for body, reps in BODIES.items():
+        with open(workdir / "bodies" / f"{body}.json", "w") as fh:
+            json.dump({"vertices": reps, "symmetric": True}, fh)
+    env = dict(os.environ, PYTHONPATH=str(Path(checkout).resolve() / "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+    for name, argv in commands() if cmds is None else cmds:
+        done = subprocess.run([sys.executable, "-m", "mahler3d", *argv],
+                              cwd=workdir, env=env, capture_output=True)
+        (out / f"{name}.stdout").write_bytes(done.stdout)
+        (out / f"{name}.stderr").write_bytes(done.stderr)
+        (out / f"{name}.exit").write_text(f"{done.returncode}\n")
+    return out
+
+
+def differences(parent_out, change_out):
+    """Sorted names of the files that differ or exist on one side only."""
+    parent = {p.name for p in Path(parent_out).iterdir()}
+    change = {p.name for p in Path(change_out).iterdir()}
+    both = sorted(parent & change)
+    _, mismatch, errors = filecmp.cmpfiles(parent_out, change_out, both,
+                                           shallow=False)
+    return sorted(set(mismatch) | set(errors) | (parent ^ change))
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("parent", help="checkout of the parent commit")
+    ap.add_argument("change", help="checkout of the change")
+    ap.add_argument("--work", default=None,
+                    help="directory for the two work trees (default: a new "
+                         "temporary directory, kept)")
+    args = ap.parse_args(argv)
+    work = Path(args.work or tempfile.mkdtemp(prefix="cli_identity-"))
+    outs = [run_side(checkout, work / side)
+            for side, checkout in (("parent", args.parent),
+                                   ("change", args.change))]
+    diff = differences(*outs)
+    for name in diff:
+        print(f"DIFFERS: {name}")
+    total = len({p.name for out in outs for p in out.iterdir()})
+    print(f"{len(diff)} of {total} files differ (work trees under {work})")
+    return 1 if diff else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
