@@ -199,13 +199,7 @@ def _sweep_directions(P, n, seed, kernel):
             used.add(key)
             dirs.append(d)
 
-    seen = set()
-    for f in lat.I2:
-        mate = lat.opposite_facet[f]
-        key = (min(f, mate), max(f, mate))
-        if key in seen:
-            continue
-        seen.add(key)
+    for f in range(lat.F // 2):
         if lat.m(f) > 3:
             try:
                 push(CB.in_plane_direction(P, f))

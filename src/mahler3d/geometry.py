@@ -11,6 +11,11 @@ vertices[k+i] == -vertices[i] exactly, so the antipodal pairing is the index
 involution i <-> i+k.  All constructors produce coordinates for the
 representatives only and mirror them by exact negation, which makes the
 pairing invariant structural rather than numerical.
+
+Facets follow the same convention (``hull.facet_layout``): facet f + F/2 is
+the antipode of facet f, with the mirrored, reversed cycle, the negated
+normal and the same offset, so "one facet per antipodal pair" is
+``range(F // 2)``.  ``_build_lattice`` checks the layout on every body.
 """
 
 import json
@@ -19,8 +24,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import _kernels, hull as _hull
-from .errors import (DegenerateInput, InputError, NumericalDegeneracy,
-                     SingularMatrix, ToleranceConflict)
+from .errors import (DegenerateInput, InputError, InternalInconsistency,
+                     NumericalDegeneracy, SingularMatrix, ToleranceConflict)
 from .hull import dot, neg, sub
 
 RATIONAL = "rational"
@@ -61,13 +66,17 @@ class FaceLattice:
     consistently with the outward normal.  facet_planes[k] = (n, h) with the
     facet on {x : n.x = h}; normals are unit length in double mode and
     unnormalized exact vectors in rational mode.
+
+    Facets are in the facet layout of the vertices: facet f + F/2 is the
+    antipode of facet f, so ``opposite_facet[f] == (f + F/2) % F``.
     """
 
-    def __init__(self, n_vertices, facet_cycles, facet_planes, opposite_facet):
+    def __init__(self, n_vertices, facet_cycles, facet_planes):
         self.n_vertices = n_vertices
         self.facet_cycles = facet_cycles      # tuple of vertex-label cycles
         self.facet_planes = facet_planes      # tuple of (normal, offset)
-        self.opposite_facet = opposite_facet  # antipodal facet involution
+        F = len(facet_cycles)
+        self.opposite_facet = tuple([(f + F // 2) % F for f in range(F)])
         owners = {}  # sorted (i, j) -> the facets through that edge, ascending
         for f, cyc in enumerate(facet_cycles):
             i = cyc[-1]
@@ -178,12 +187,23 @@ def same_labeled_lattice(a, b):
     return a.signature() == b.signature()
 
 
-def _build_lattice(n, hull_data, opposite):
-    """Assemble a FaceLattice from hull output; indices must already be
-    relabeled to the final vertex order, and ``opposite`` maps each facet
-    to its antipode."""
-    lat = FaceLattice(n, tuple([f[0] for f in hull_data]),
-                      tuple([(f[1], f[2]) for f in hull_data]), tuple(opposite))
+def _build_lattice(n, facets):
+    """Assemble a FaceLattice from ``hull.Facet`` records in the facet
+    layout, their indices already relabeled to the final vertex order.
+
+    Raises InternalInconsistency when facet f + F/2 is not the mirrored,
+    reversed cycle of facet f with the negated normal and the same offset.
+    """
+    K = len(facets) // 2
+    for f, g in zip(facets[:K], facets[K:]):
+        mirror = _hull._canonical_cycle(
+            tuple([(v + n // 2) % n for v in reversed(f.cycle)]))
+        if g != _hull.Facet(mirror, neg(f.normal), f.offset):
+            raise InternalInconsistency(
+                f"facet {g.cycle}, F/2 after facet {f.cycle}, is not its "
+                "antipode")
+    lat = FaceLattice(n, tuple([f.cycle for f in facets]),
+                      tuple([(f.normal, f.offset) for f in facets]))
     bad = [e for e, owners in zip(lat.edges, lat.phi2) if len(owners) != 2]
     if bad:
         raise NumericalDegeneracy(f"edges not shared by exactly two facets: {bad[:4]}",
@@ -199,14 +219,13 @@ class SymPolytope:
     face lattice.
 
     Immutable after construction.  ``vertices[pairing[i]] == -vertices[i]``
-    holds coordinate-for-coordinate; every listed vertex is extreme; the
-    origin is interior (every facet offset is positive).
+    holds coordinate-for-coordinate, with ``pairing[i] == (i + V/2) % V``;
+    every listed vertex is extreme; the origin is interior (every facet
+    offset is positive).
     """
 
-    def __init__(self, vertices, pairing, dim_certificate, lattice, kernel):
+    def __init__(self, vertices, lattice, kernel):
         self.vertices = vertices
-        self.pairing = pairing
-        self.dim_certificate = dim_certificate
         self.lattice = lattice
         self.kernel = kernel
         self._array = None
@@ -218,6 +237,11 @@ class SymPolytope:
     @property
     def n_pairs(self):
         return len(self.vertices) // 2
+
+    @property
+    def pairing(self):
+        k = self.n_pairs
+        return tuple(range(k, 2 * k)) + tuple(range(k))
 
     def rep_indices(self):
         return range(self.n_pairs)
@@ -336,7 +360,7 @@ def _dedupe_and_pair(points, tol, kernel):
     return reps
 
 
-def _assemble(reps, kernel, keep_order, dist_tol=None):
+def _assemble(reps, kernel, keep_order):
     """Hull the mirrored representative list and build a SymPolytope.
 
     keep_order=False sorts representatives canonically (public construction);
@@ -347,7 +371,7 @@ def _assemble(reps, kernel, keep_order, dist_tol=None):
         reps = sorted(reps, reverse=True)
     k = len(reps)
     points = list(reps) + [neg(p) for p in reps]
-    h = _hull.hull_3d(points, exact=(kernel == RATIONAL), dist_tol=dist_tol)
+    h = _hull.hull_3d(points, exact=(kernel == RATIONAL))
 
     corner = set(h.corners)
     kept_reps = [i for i in range(k) if i in corner]
@@ -359,26 +383,13 @@ def _assemble(reps, kernel, keep_order, dist_tol=None):
         new_of[i + k] = a + len(kept_reps)
     vertices = tuple([points[i] for i in kept_reps]
                      + [points[i + k] for i in kept_reps])
-    kk = len(kept_reps)
-    pairing = tuple([a + kk for a in range(kk)] + [a for a in range(kk)])
 
-    # new_of increases on the corners, so cycles stay canonical and sorted
-    relabeled = [(tuple([new_of[i] for i in f.cycle]), f.normal, f.offset)
-                 for f in h.facets]
-    lattice = _build_lattice(len(vertices), relabeled, h.opposite)
-    cert = _find_dim_certificate(vertices, kernel)
-    return SymPolytope(vertices, pairing, cert, lattice, kernel)
-
-
-def _find_dim_certificate(vertices, kernel):
-    tol2 = 0
-    if kernel == DOUBLE:
-        scale = max(1.0, max(abs(c) for v in vertices for c in v))
-        tol2 = (_hull.AREA_TOL_REL * scale * scale) ** 2
-    dim, cert = _hull.affine_dim(list(vertices), kernel == RATIONAL, tol2=tol2)
-    if dim < 3:
-        raise DegenerateInput(f"vertex set has affine dimension {dim}")
-    return tuple(cert)
+    # new_of increases on the corners, so cycles stay canonical and the
+    # facet layout holds
+    relabeled = [_hull.Facet(tuple([new_of[i] for i in f.cycle]), f.normal,
+                             f.offset) for f in h.facets]
+    return SymPolytope(vertices, _build_lattice(len(vertices), relabeled),
+                       kernel)
 
 
 def build_sym_polytope(points, tol=None, kernel=RATIONAL):
@@ -386,7 +397,8 @@ def build_sym_polytope(points, tol=None, kernel=RATIONAL):
 
     Input points are mirrored, symmetrized so the antipodal pairing is exact,
     and reduced to the extreme points.  ``tol`` is the point-identification
-    tolerance (defaults: 0 in rational mode, 1e-9 x scale in double mode).
+    tolerance (defaults: 0 in rational mode, ``hull.DIST_TOL_REL`` times the
+    largest |coordinate| in double mode).
 
     Raises DegenerateInput when the affine hull has dimension < 3 and
     ToleranceConflict when two distinct points sit within tol of each other
@@ -401,8 +413,7 @@ def build_sym_polytope(points, tol=None, kernel=RATIONAL):
         if kernel == RATIONAL:
             tol = 0
         else:
-            scale = max(1.0, max(abs(c) for p in pts for c in p))
-            tol = 1e-9 * scale
+            tol = _hull.DIST_TOL_REL * _hull.coordinate_scale(pts)
     if tol < 0:
         raise InputError("tol must be nonnegative")
     if kernel == RATIONAL and tol:
@@ -413,32 +424,35 @@ def build_sym_polytope(points, tol=None, kernel=RATIONAL):
     return _assemble(reps, kernel, keep_order=False)
 
 
-def from_representatives(reps, kernel, dist_tol=None):
+def from_representatives(reps, kernel):
     """SymPolytope from already-symmetrized representative coordinates,
     preserving their order (labels survive when no vertex drops out).
 
     Representatives that coincide up to sign, as when a deformation moves
     one vertex onto another or onto its antipode, merge into the first:
-    exactly on the rational kernel, within ``build_sym_polytope``'s
-    1e-9 x scale on the double kernel.
+    exactly on the rational kernel, within ``build_sym_polytope``'s default
+    tolerance on the double kernel.
     """
     tol2 = 0
     if kernel == DOUBLE:
-        tol2 = (1e-9 * max(1.0, max(abs(c) for p in reps for c in p))) ** 2
+        tol2 = (_hull.DIST_TOL_REL * _hull.coordinate_scale(reps)) ** 2
     kept = []
     for p in reps:
         if all(dot(d, d) > tol2 for q in kept
                for d in (sub(p, q), sub(p, neg(q)))):
             kept.append(p)
-    return _assemble(kept, kernel, keep_order=True, dist_tol=dist_tol)
+    return _assemble(kept, kernel, keep_order=True)
 
 
 def volume(P):
-    """|P| by signed tetrahedra over the origin, per facet fan.
+    """|P| by signed tetrahedra over the origin, per facet fan: twice the fan
+    over the first F/2 facets, one per antipodal pair, since their antipodes
+    span the mirrored cones.
 
     Exact Fraction in rational mode.
     """
-    return _kernels.fan_volume(P.vertices, P.lattice.facet_cycles)
+    lat = P.lattice
+    return 2 * _kernels.fan_volume(P.vertices, lat.facet_cycles[:lat.F // 2])
 
 
 def linear_image(P, A):

@@ -11,6 +11,12 @@ vertex key; the other member gets the mirrored, reversed cycle, the negated
 normal and the same offset.  Polygons come from a 2D monotone chain, which
 also classifies non-corner points as non-extreme.
 
+Facets are laid out like vertices: the F/2 pair members with the smaller
+sorted vertex key come first, sorted by that key, and then their antipodes
+in the same order, so facet f + F/2 is the antipode of facet f
+(``facet_layout``; ``polarity.polar`` lays out the polar's facets by the
+same rule).
+
 The same O(V^4) algorithm runs exactly (all sign tests exact, tolerances
 zero) or over float64 (sign tests against distance and area tolerances
 relative to the largest coordinate, with the triple search vectorised by
@@ -73,50 +79,45 @@ class Facet:
 @dataclass(frozen=True)
 class Hull:
     corners: tuple        # sorted input indices of extreme points
-    facets: tuple         # Facet records, sorted by vertex-set key
-    opposite: tuple       # index of each facet's antipodal facet
+    facets: tuple         # Facet records in the facet layout
 
 
-def affine_dim(points, exact, tol2=0):
-    """(affine dimension, certificate indices) of a point list.
+def coordinate_scale(points):
+    """Largest |coordinate| of a point list: every double-kernel tolerance
+    (plane residuals, point identification, vertex drift) is relative to it."""
+    return float(max(abs(c) for p in points for c in p))
 
-    The certificate is a maximal affinely independent subset (up to 4 points).
+
+def facet_layout(cycles):
+    """Order of 2K facet cycles, given as K cycles and then their antipodes
+    (cycles[i + K] is the antipode of cycles[i]), that puts them in the
+    facet layout: the member of each pair with the smaller sorted vertex key
+    first, pairs sorted by that key, then the mirrors in the same order.
+    Facet f + K of the result is then the antipode of facet f."""
+    K = len(cycles) // 2
+    keys = [sorted(c) for c in cycles]
+    firsts = sorted([i if keys[i] < keys[i + K] else i + K for i in range(K)],
+                    key=keys.__getitem__)
+    return firsts + [(i + K) % (2 * K) for i in firsts]
+
+
+def affine_dim(points, tol2=0):
+    """Affine dimension of a point list.
+
     ``tol2`` is the squared length scale below which cross products count as
-    zero in double mode.
+    zero (0 for exact coordinates).
     """
-    n = len(points)
-    if n == 0:
+    if not points:
         raise DegenerateInput("empty point set")
-    cert = [0]
-    if n == 1:
-        return 0, cert
-    base = points[0]
-    u = None
-    for i in range(1, n):
-        d = sub(points[i], base)
-        if dot(d, d) > tol2:
-            u = d
-            cert.append(i)
-            break
+    ds = [sub(p, points[0]) for p in points[1:]]
+    u = next((d for d in ds if dot(d, d) > tol2), None)
     if u is None:
-        return 0, cert
-    w = None
-    for i in range(cert[1] + 1, n):
-        d = sub(points[i], base)
-        c = cross(u, d)
-        if dot(c, c) > tol2 * dot(u, u):
-            w = c
-            cert.append(i)
-            break
+        return 0
+    w = next((c for c in (cross(u, d) for d in ds)
+              if dot(c, c) > tol2 * dot(u, u)), None)
     if w is None:
-        return 1, cert
-    for i in range(cert[2] + 1, n):
-        d = sub(points[i], base)
-        t = dot(w, d)
-        if t * t > tol2 * dot(w, w):
-            cert.append(i)
-            return 3, cert
-    return 2, cert
+        return 1
+    return 3 if any(dot(w, d) ** 2 > tol2 * dot(w, w) for d in ds) else 2
 
 
 def _cross2(o, a, b):
@@ -242,7 +243,7 @@ def _merge_splinters(pts, sets, planes, dist_tol, area_tol):
         for a, b, mirrored in _splinters(masks):
             other = frozenset(_mirror(sets[b], n // 2)) if mirrored else sets[b]
             shared = sorted(sets[a] & other)
-            if affine_dim([tpoints[i] for i in shared], False, tol2)[0] < 2:
+            if affine_dim([tpoints[i] for i in shared], tol2) < 2:
                 continue
             merged = sorted(sets[a] | other)
             sub_pts = pts[merged]
@@ -302,7 +303,9 @@ def hull_3d(points, exact, dist_tol=None):
     points; its polygon, Newell normal and orientation are computed on the
     member with the smaller sorted vertex key, and the other member gets the
     mirrored, reversed cycle, the negated normal and the same offset.
-    ``Hull.opposite`` maps each facet to its antipode.
+    ``Hull.facets`` is in the facet layout: those F/2 members sorted by key,
+    then their antipodes in the same order, so facet f + F/2 is the
+    antipode of facet f.
 
     exact=True takes rational coordinates (``Fraction`` or ``int``), decides
     every predicate on their integer images and returns ``Fraction`` planes;
@@ -318,17 +321,17 @@ def hull_3d(points, exact, dist_tol=None):
                          "negations")
     if exact:
         points, den = _integer_points(points)
-        dim, _ = affine_dim(points, True)
+        dim = affine_dim(points)
         if dim < 3:
             raise DegenerateInput(f"affine hull has dimension {dim} < 3")
         raw = _support_sets_exact(points)
     else:
         arr = np.asarray(points, dtype=float)
-        scale = float(np.abs(arr).max())
+        scale = coordinate_scale(points)
         if dist_tol is None:
             dist_tol = DIST_TOL_REL * scale
         area_tol = AREA_TOL_REL * scale * scale
-        dim, _ = affine_dim([tuple(p) for p in points], False, tol2=area_tol * area_tol)
+        dim = affine_dim([tuple(p) for p in points], tol2=area_tol * area_tol)
         if dim < 3:
             raise DegenerateInput(f"affine hull has dimension {dim} < 3")
         raw = _support_sets_double(arr, dist_tol, area_tol)
@@ -341,7 +344,7 @@ def hull_3d(points, exact, dist_tol=None):
         first.setdefault(tuple(p), i)
     anti = [first[tuple(points[(i + k) % n])] for i in range(n)]
     facets = []
-    keys = []
+    mirrors = []
     for inc, nrm, _ in raw:
         keep = _project_axis(nrm)
         idxs = sorted(inc)
@@ -357,13 +360,11 @@ def hull_3d(points, exact, dist_tol=None):
         if len(ring) < 3:
             raise NumericalDegeneracy("facet polygon collapsed", offending=idxs)
         cycle = [idxs[r] for r in ring]
-        key, mirror_key = sorted(cycle), sorted([anti[i] for i in cycle])
-        if mirror_key < key:
+        if sorted([anti[i] for i in cycle]) < sorted(cycle):
             # Work on the mirror.  Its monotone chain sees the points
             # negated, so its ring starts where this ring's upper chain does.
             top = max(range(len(ring)), key=lambda a: pts2[ring[a]])
             cycle = [anti[i] for i in cycle[top:] + cycle[:top]]
-            key, mirror_key = mirror_key, key
         cycle = tuple(cycle)
         nw = _newell_normal(points, cycle)
         if all(c == 0 for c in nw):
@@ -382,16 +383,12 @@ def hull_3d(points, exact, dist_tol=None):
             normal = (nw[0] / nn, nw[1] / nn, nw[2] / nn)
             offset = sum([dot(normal, points[i]) for i in cycle]) / len(cycle)
         facets.append(Facet(_canonical_cycle(cycle), normal, offset))
-        facets.append(Facet(_canonical_cycle(tuple([anti[i] for i in cycle[::-1]])),
-                            neg(normal), offset))
-        keys += [key, mirror_key]
+        mirrors.append(Facet(_canonical_cycle(tuple([anti[i] for i in cycle[::-1]])),
+                             neg(normal), offset))
 
+    facets += mirrors
     if len(facets) < 4:
         raise NumericalDegeneracy(f"only {len(facets)} certified facets")
-    order = sorted(range(len(facets)), key=keys.__getitem__)
-    position = [0] * len(facets)
-    for p, i in enumerate(order):
-        position[i] = p
+    order = facet_layout([f.cycle for f in facets])
     return Hull(corners=tuple(sorted({i for f in facets for i in f.cycle})),
-                facets=tuple([facets[i] for i in order]),
-                opposite=tuple([position[i ^ 1] for i in order]))
+                facets=tuple([facets[i] for i in order]))

@@ -29,8 +29,6 @@ from .errors import (CounterexampleAlarm, DegenerateDeformation,
                      NoPersistence, NumericalDegeneracy, ParallelismAmbiguity)
 from .hull import sub
 
-_DIRECTION_MODES = ("mixed", "random", "facet")
-
 
 @dataclass(frozen=True)
 class DescentConfig:
@@ -39,13 +37,10 @@ class DescentConfig:
     termination_tol: float = 1e-9
     seed: int = 0
     max_iters: int = 40
-    direction_mode: str = "mixed"
 
     def __post_init__(self):
         if self.max_vertices < 6 or self.max_vertices % 2:
             raise InputError("max_vertices must be an even integer >= 6")
-        if self.direction_mode not in _DIRECTION_MODES:
-            raise InputError(f"direction_mode must be one of {_DIRECTION_MODES}")
 
 
 @dataclass(frozen=True)
@@ -109,36 +104,30 @@ def _candidate_directions(P, Q, cfg, rng):
     non-triangular facets and shared-edge directions of adjacent
     quadrilateral pairs, on both the body and its polar."""
     dirs = []
-    if cfg.direction_mode in ("mixed", "random"):
-        for _ in range(cfg.direction_budget):
-            v = rng.normal(size=3)
-            L = float(np.linalg.norm(v))
-            if L < 1e-9:
-                v = np.array([1.0, 0.0, 0.0])
-                L = 1.0
-            dirs.append(SH.direction(tuple([float(x) for x in v])))
-    if cfg.direction_mode in ("mixed", "facet"):
-        for B in (P, Q):
-            lat = B.lattice
-            seen = set()
-            for k in lat.I2:
-                mate = lat.opposite_facet[k]
-                key = (min(k, mate), max(k, mate))
-                if key in seen or lat.m(k) <= 3:
-                    continue
-                seen.add(key)
+    for _ in range(cfg.direction_budget):
+        v = rng.normal(size=3)
+        L = float(np.linalg.norm(v))
+        if L < 1e-9:
+            v = np.array([1.0, 0.0, 0.0])
+            L = 1.0
+        dirs.append(SH.direction(tuple([float(x) for x in v])))
+    for B in (P, Q):
+        lat = B.lattice
+        for k in range(lat.F // 2):
+            if lat.m(k) <= 3:
+                continue
+            try:
+                dirs.append(CB.in_plane_direction(B, k))
+            except (InternalInconsistency, ParallelismAmbiguity):
+                pass
+        for e, (i, j) in enumerate(lat.edges):
+            f1, f2 = lat.phi2[e]
+            if lat.m(f1) == 4 and lat.m(f2) == 4 \
+                    and lat.opposite_facet[f1] != f2:
                 try:
-                    dirs.append(CB.in_plane_direction(B, k))
-                except (InternalInconsistency, ParallelismAmbiguity):
+                    dirs.append(SH.direction(sub(B.vertices[j], B.vertices[i])))
+                except InputError:
                     pass
-            for e, (i, j) in enumerate(lat.edges):
-                f1, f2 = lat.phi2[e]
-                if lat.m(f1) == 4 and lat.m(f2) == 4 \
-                        and lat.opposite_facet[f1] != f2:
-                    try:
-                        dirs.append(SH.direction(sub(B.vertices[j], B.vertices[i])))
-                    except InputError:
-                        pass
     uniq = []
     used = set()
     for d in dirs:
@@ -301,8 +290,7 @@ def descend(P0, cfg=None):
         "config": {"max_vertices": cfg.max_vertices,
                    "direction_budget": cfg.direction_budget,
                    "termination_tol": cfg.termination_tol,
-                   "seed": cfg.seed, "max_iters": cfg.max_iters,
-                   "direction_mode": cfg.direction_mode},
+                   "seed": cfg.seed, "max_iters": cfg.max_iters},
     }
     if stall:
         meta["stall_note"] = ("non-trivial speed found whose breakpoint "

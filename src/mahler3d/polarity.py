@@ -7,6 +7,11 @@ order-reversed lattice of the input (facets become vertices, vertex rings
 become facet cycles).  No half-space intersection is performed anywhere in
 this module; verify_incidence_duality instead re-hulls the produced vertex
 set and compares lattices.
+
+Both layouts carry over: polar vertex f is n_f/h_f for facet f of the
+input, so the facet layout (facet f + F/2 is the antipode of f) becomes the
+vertex layout of the polar, and the polar's facets, one per input vertex,
+are laid out by ``hull.facet_layout``.
 """
 
 from dataclasses import dataclass
@@ -16,7 +21,8 @@ import numpy as np
 
 from . import geometry as G
 from .errors import DualityViolation, NumericalDegeneracy
-from .hull import _canonical_cycle, _newell_normal, dot, neg
+from .hull import (Facet, _canonical_cycle, _newell_normal, dot, facet_layout,
+                   neg)
 
 MAHLER_BOUND = Fraction(32, 3)
 
@@ -34,32 +40,27 @@ class VolumeProductReport:
 def polar(P):
     """The polar body of ``P`` as a SymPolytope with the order-reversed lattice.
 
-    Vertices are n/h over facet planes; the facet cycle attached to each
+    Vertex f is n_f/h_f for facet f of ``P``, so the facet layout of ``P``
+    is the vertex layout of the polar.  The facet cycle attached to each
     original vertex v is v's facet ring, oriented outward along v, and is
     computed for the representatives only: the cycle of v + k is the
-    mirror of v's, reversed.  Because antipodal facet planes of ``P`` are
-    exact negations, the polar's vertex pairing is again exact.
+    mirror of v's, reversed.  The facets are in the facet layout, and
+    ``Q._primal_vertex_of_facet[j]`` is the vertex of ``P`` that facet j of
+    the polar belongs to.
     """
     lat = P.lattice
-    opp = lat.opposite_facet
-    rep_facets = sorted({min(f, opp[f]) for f in lat.I2})
-    K = len(rep_facets)
-    new_of = {}
-    for a, f in enumerate(rep_facets):
-        new_of[f] = a
-        new_of[opp[f]] = a + K
+    K = lat.F // 2
     reps = []
-    for f in rep_facets:
-        n, h = lat.facet_planes[f]
+    for n, h in lat.facet_planes[:K]:
         reps.append((n[0] / h, n[1] / h, n[2] / h))
     vertices = tuple(reps) + tuple([neg(p) for p in reps])
-    pairing = tuple(list(range(K, 2 * K)) + list(range(K)))
 
     rings = lat.vertex_facet_cycles()
     k = P.n_pairs
-    tagged = []
+    facets = []
+    mirrors = []
     for v in range(k):
-        cyc = tuple([new_of[f] for f in rings[v]])
+        cyc = rings[v]
         pv = P.vertices[v]
         nw = _newell_normal(vertices, cyc)
         side = dot(nw, pv)
@@ -73,17 +74,14 @@ def polar(P):
             L = float(dot(pv, pv)) ** 0.5
             normal, offset = (pv[0] / L, pv[1] / L, pv[2] / L), 1.0 / L
         mirror = tuple([(a + K) % (2 * K) for a in reversed(cyc)])
-        tagged.append((_canonical_cycle(cyc), normal, offset, v))
-        tagged.append((_canonical_cycle(mirror), neg(normal), offset, v + k))
-    tagged.sort(key=lambda t: sorted(t[0]))
-    position = {t[3]: p for p, t in enumerate(tagged)}
-    lattice = G._build_lattice(2 * K, [(c, n, h) for c, n, h, _ in tagged],
-                               [position[(t[3] + k) % P.V] for t in tagged])
-    cert = G._find_dim_certificate(vertices, P.kernel)
-    Q = G.SymPolytope(vertices, pairing, cert, lattice, P.kernel)
+        facets.append(Facet(_canonical_cycle(cyc), normal, offset))
+        mirrors.append(Facet(_canonical_cycle(mirror), neg(normal), offset))
+    facets += mirrors    # facets[v] belongs to vertex v of P
+    order = facet_layout([f.cycle for f in facets])
+    lattice = G._build_lattice(2 * K, [facets[v] for v in order])
+    Q = G.SymPolytope(vertices, lattice, P.kernel)
     # bookkeeping for the order reversal, consumed by verify_incidence_duality
-    Q._primal_facet_of_vertex = tuple(rep_facets + [opp[f] for f in rep_facets])
-    Q._primal_vertex_of_facet = tuple([t[3] for t in tagged])
+    Q._primal_vertex_of_facet = tuple(order)
     return Q
 
 
@@ -134,10 +132,8 @@ def verify_incidence_duality(P):
             f"F(polar)={latQ.F} vs V={P.V}")
 
     pairs_P = {(v, k) for k in latP.I2 for v in latP.facet_cycles[k]}
-    fac_of = Q._primal_facet_of_vertex
     ver_of = Q._primal_vertex_of_facet
-    pairs_Q = {(ver_of[j], fac_of[q])
-               for j in latQ.I2 for q in latQ.facet_cycles[j]}
+    pairs_Q = {(ver_of[j], q) for j in latQ.I2 for q in latQ.facet_cycles[j]}
     if pairs_P != pairs_Q:
         raise DualityViolation(
             f"incidence transpose failed: {len(pairs_P ^ pairs_Q)} mismatches")

@@ -22,7 +22,8 @@ from .errors import (AffinenessViolation, ConvexityViolation,
                      DegenerateDeformation, DegenerateInput, InputError,
                      InternalInconsistency, NoPersistence,
                      NumericalDegeneracy, ParallelismAmbiguity)
-from .hull import DIST_TOL_REL, _project_axis, cross, dot, sub
+from .hull import (DIST_TOL_REL, _project_axis, coordinate_scale, cross, dot,
+                   sub)
 
 PARALLEL_TOL = 1e-14      # |theta.n| at or below this counts as parallel (double)
 AMBIGUITY_TOL = 1e-10     # band (PARALLEL_TOL, AMBIGUITY_TOL] is refused
@@ -81,16 +82,17 @@ def speed_vector(P, values):
         vals = tuple(values)
     if len(vals) != P.V:
         raise InputError(f"speed length {len(vals)} != V = {P.V}")
+    pair = P.pairing
     if P.kernel == G.RATIONAL:
         vals = tuple([G._as_coord(a, G.RATIONAL) for a in vals])
         for i in range(P.V):
-            if vals[P.pairing[i]] != -vals[i]:
+            if vals[pair[i]] != -vals[i]:
                 raise InputError(f"speed not odd at vertex {i}")
     else:
         vals = tuple([float(a) for a in vals])
         scale = max(1.0, max(abs(a) for a in vals))
         for i in range(P.V):
-            if abs(vals[P.pairing[i]] + vals[i]) > 1e-12 * scale:
+            if abs(vals[pair[i]] + vals[i]) > 1e-12 * scale:
                 raise InputError(f"speed not odd at vertex {i}")
     return SpeedVector(alpha=vals)
 
@@ -198,14 +200,7 @@ def _constraint_rows(P, theta):
     k = P.n_pairs
     zero = Fraction(0) if P.kernel == G.RATIONAL else 0.0
     rows = []
-    seen_pairs = set()
-    for f in lat.I2:
-        mate = lat.opposite_facet[f]
-        key = (min(f, mate), max(f, mate))
-        if key in seen_pairs:
-            continue
-        seen_pairs.add(key)
-        g = key[0]
+    for g in range(lat.F // 2):
         n, _ = lat.facet_planes[g]
         if is_parallel(theta, n, P.kernel):
             continue
@@ -474,11 +469,9 @@ def persistence_root(P, theta, alpha):
     u = theta.carrier if exact else theta.theta
     X, al, lat = P.vertices, alpha.alpha, P.lattice
     if not exact:
-        dist_tol = DIST_TOL_REL * max(1.0, max(abs(c) for v in X for c in v))
+        dist_tol = DIST_TOL_REL * coordinate_scale(X)
     lo = hi = None
-    for f in lat.I2:
-        if lat.opposite_facet[f] < f:
-            continue  # the antipodal facet gives the same functions negated
+    for f in range(lat.F // 2):  # an antipode gives the same functions negated
         cycle = lat.facet_cycles[f]
         a, b, c = cycle[:3]
         B, C = sub(X[b], X[a]), sub(X[c], X[a])

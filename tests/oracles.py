@@ -70,7 +70,8 @@ def fraction_hull(points):
     indices, facets): a facet is (cycle, normal, offset), its cycle outward
     from the origin and rotated to start at its smallest index, its plane
     normal . x == offset with the cycle's Newell normal, and the facets sorted
-    by vertex set -- the layout of ``mahler3d.hull.Hull``.
+    by vertex set (``facet_layout`` puts them in the layout of
+    ``mahler3d.hull.Hull``).
     """
     pts = [tuple(Fraction(c) for c in p) for p in points]
 
@@ -129,6 +130,17 @@ def fraction_hull(points):
         facets.append((cycle, tuple(nw), dot(nw, pts[cycle[0]])))
     facets.sort(key=lambda f: sorted(f[0]))
     return tuple(sorted(corners)), tuple(facets)
+
+
+def facet_layout(facets):
+    """``fraction_hull`` facets of an origin-symmetric body in the facet
+    layout: of each antipodal pair (normals n and -n) the member with the
+    smaller sorted vertex set, in that order, then their antipodes in the
+    same order."""
+    by_normal = {f[1]: f for f in facets}
+    firsts = [f for f in facets
+              if sorted(f[0]) < sorted(by_normal[tuple(-c for c in f[1])][0])]
+    return tuple(firsts + [by_normal[tuple(-c for c in f[1])] for f in firsts])
 
 
 def polar_vertices_halfspace(points, tol=1e-9):

@@ -55,3 +55,23 @@ def test_fake_pair_lists_the_differing_files(tmp_path):
     (outs[1] / "product-cube.json").unlink()
     (outs[1] / "extra.csv").write_text("")
     assert cli_identity.differences(*outs) == ["extra.csv", "product-cube.json"]
+
+
+def test_label_separates_float_digits_from_structure(tmp_path):
+    def pair(a, b):
+        (tmp_path / "a").write_text(a)
+        (tmp_path / "b").write_text(b)
+        return cli_identity.label(tmp_path / "a", tmp_path / "b")
+
+    assert pair('{"gap": 1.5e-15, "t": -0.577, "steps": 3}\n',
+                '{"gap": 1.2e-15, "t": -0.905, "steps": 3}\n') == \
+        "numbers only (max rel 3.6e-01)"
+    assert pair("x,10.666666666666668\n", "x,10.666666666666666\n") == \
+        "numbers only (max rel 1.7e-16)"
+    assert pair('{"steps": 3, "v": 0.5}\n',
+                '{"steps": 4, "v": 0.5}\n') == "structural"
+    assert pair("32/3\n", "31/3\n") == "structural"
+    assert pair("1.0, 2.0\n", "1.0\n") == "structural"
+    assert pair("Excluded 0.5\n", "AffineOctahedron 0.5\n") == "structural"
+    assert cli_identity.label(tmp_path / "a", tmp_path / "missing") == \
+        "structural"

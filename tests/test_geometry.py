@@ -5,7 +5,9 @@ import pytest
 from scipy.spatial import ConvexHull
 
 import mahler3d as M
-from mahler3d.errors import (DegenerateInput, InputError, SingularMatrix,
+from mahler3d import _kernels, geometry as G, hull
+from mahler3d.errors import (DegenerateInput, InputError,
+                             InternalInconsistency, SingularMatrix,
                              ToleranceConflict)
 
 import oracles
@@ -166,3 +168,86 @@ def test_face_lattice_incidences(cubocta_r):
         a = frozenset(cyc_v for cyc_v in lat.facet_cycles[f])
         b = frozenset(cubocta_r.pairing[v] for v in lat.facet_cycles[mate])
         assert a == b
+
+
+def _layout_bodies(kernel, cubocta):
+    """Built bodies, bodies deformed to both breakpoints of
+    ``persistence_root`` (the cuboctahedron's have coincident pairs, which
+    merge), and the polars and bipolars of all of them."""
+    # The bodies and directions of test_hull's breakpoint test.
+    rng = np.random.default_rng(17)
+    theta = tuple(int(x) for x in rng.integers(1, 10, 3))
+    pts = rng.normal(size=(4, 3))
+    pts /= np.linalg.norm(pts, axis=1)[:, None]
+    dyadic = M.build_sym_polytope(
+        [tuple(Fraction(round(float(c) * 2 ** 20), 2 ** 20) for c in p)
+         for p in pts], kernel=kernel)
+    built = [M.build_sym_polytope(r, kernel=kernel)
+             for r in (CUBE_REPS, OCTA_REPS, CUBOCTA_REPS)] + [dyadic]
+    moved = []
+    for P, theta in ((cubocta, (1, 1, 0)), (dyadic, theta)):
+        rq = M.dimension_bound(P, theta)
+        for t in M.persistence_root(P, rq.theta, rq.witness_speed):
+            moved.append(M.deform(P, rq.theta, rq.witness_speed, t))
+    assert any(Q.V < cubocta.V for Q in moved)
+    bodies = built + moved
+    polars = [M.polar(P) for P in bodies]
+    return bodies + polars + [M.polar(Q) for Q in polars]
+
+
+@pytest.mark.parametrize("kernel", [M.RATIONAL, M.DOUBLE])
+def test_facet_layout_mirrors_at_half(kernel, cubocta_r, cubocta_d):
+    cubocta = cubocta_r if kernel == M.RATIONAL else cubocta_d
+    for P in _layout_bodies(kernel, cubocta):
+        lat, V = P.lattice, P.V
+        K = lat.F // 2
+        assert lat.F == 2 * K
+        for f in range(K):
+            g = f + K
+            assert lat.opposite_facet[f] == g and lat.opposite_facet[g] == f
+            assert lat.facet_cycles[g] == hull._canonical_cycle(tuple(
+                (v + V // 2) % V for v in reversed(lat.facet_cycles[f])))
+            n, h = lat.facet_planes[f]
+            assert lat.facet_planes[g] == (tuple(-c for c in n), h)
+        # The member with the smaller vertex set leads each pair.
+        keys = [sorted(c) for c in lat.facet_cycles]
+        assert all(keys[f] < keys[f + K] for f in range(K))
+        assert keys[:K] == sorted(keys[:K])
+        Q = M.polar(P)
+        for f, (n, h) in enumerate(lat.facet_planes):
+            assert Q.vertices[f] == tuple(c / h for c in n)
+        full = _kernels.fan_volume(P.vertices, lat.facet_cycles)
+        if kernel == M.RATIONAL:
+            assert M.volume(P) == full
+        else:
+            assert M.volume(P) == pytest.approx(full, rel=1e-13)
+
+
+def test_build_lattice_rejects_a_swapped_facet(cubocta_r, cubocta_d):
+    for P in (cubocta_r, cubocta_d):
+        lat = P.lattice
+        facets = [hull.Facet(c, n, h)
+                  for c, (n, h) in zip(lat.facet_cycles, lat.facet_planes)]
+        assert G._build_lattice(P.V, facets).facet_cycles == lat.facet_cycles
+        facets[0], facets[1] = facets[1], facets[0]
+        with pytest.raises(InternalInconsistency, match="not its antipode"):
+            G._build_lattice(P.V, facets)
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_tolerances_follow_the_coordinate_scale(scale):
+    # Two vertices 1e-4 apart relative to the body, at any absolute size.
+    reps = [tuple(scale * c for c in p)
+            for p in ((1, 0, 0), (1, 1e-4, 0), (0, 1, 0), (0, 0, 1))]
+    P = M.build_sym_polytope(reps, kernel=M.DOUBLE)
+    assert P.V == 8
+    R = M.from_representatives([P.vertices[i] for i in P.rep_indices()],
+                               M.DOUBLE)
+    assert R.V == 8 and M.same_labeled_lattice(R.lattice, P.lattice)
+    # A shear there and back keeps every vertex and the lattice.
+    alpha = M.trivial_speed(P, (1, 1, 1))
+    Q = M.deform(P, (0, 0, 1), alpha, 0.1)
+    B = M.deform(Q, (0, 0, 1), alpha, -0.1)
+    assert Q.V == B.V == 8
+    assert M.same_labeled_lattice(B.lattice, P.lattice)
+    assert np.allclose(B.as_array(), P.as_array(), rtol=0, atol=1e-12 * scale)

@@ -18,6 +18,7 @@ from conftest import CUBE_REPS
 def _assert_same_hull(points):
     got = hull.hull_3d(points, True)
     corners, facets = oracles.fraction_hull(points)
+    facets = oracles.facet_layout(facets)
     assert got.corners == corners
     assert [f.cycle for f in got.facets] == [f[0] for f in facets]
     for f, (_, normal, offset) in zip(got.facets, facets):
@@ -39,14 +40,14 @@ def _rotated(reps, seed):
 
 
 def assert_antipodal_pairs(h, n):
-    """Facets come in exact antipodal pairs and the corners are closed
-    under the pairing i <-> i + n/2."""
+    """Facets come in exact antipodal pairs, facet i + F/2 the antipode of
+    facet i, and the corners are closed under the pairing i <-> i + n/2."""
     k = n // 2
+    F = len(h.facets)
     assert set(h.corners) == {(i + k) % n for i in h.corners}
+    assert F % 2 == 0
     for i, f in enumerate(h.facets):
-        j = h.opposite[i]
-        g = h.facets[j]
-        assert j != i and h.opposite[j] == i
+        g = h.facets[(i + F // 2) % F]
         assert g.cycle == hull._canonical_cycle(
             tuple([(v + k) % n for v in reversed(f.cycle)]))
         assert g.normal == tuple(-c for c in f.normal)
@@ -74,7 +75,7 @@ def test_dyadic_bodies_and_their_polars(bits):
         # The polar's vertices n/h, one per antipodal facet pair, have
         # non-dyadic denominators.
         polar = [tuple(c / f.offset for c in f.normal)
-                 for i, f in enumerate(h.facets) if i < h.opposite[i]]
+                 for f in h.facets[:len(h.facets) // 2]]
         assert any(c.denominator & (c.denominator - 1) for p in polar for c in p)
         _assert_same_hull(_symmetric(polar))
 

@@ -68,7 +68,8 @@ def check_rational(points):
     assert_antipodal_pairs(h, len(points))
     corners, facets = oracles.fraction_hull(points)
     assert h.corners == corners
-    assert [(f.cycle, f.normal, f.offset) for f in h.facets] == list(facets)
+    assert [(f.cycle, f.normal, f.offset) for f in h.facets] == list(
+        oracles.facet_layout(facets))
 
 
 def check_double(points):

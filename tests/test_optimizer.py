@@ -13,8 +13,6 @@ def test_config_validation():
         M.DescentConfig(max_vertices=5)
     with pytest.raises(InputError):
         M.DescentConfig(max_vertices=7)
-    with pytest.raises(InputError):
-        M.DescentConfig(direction_mode="sideways")
 
 
 def test_random_polytope_counts_and_determinism():

@@ -10,12 +10,17 @@ Each side runs in its own work directory from the same relative paths, so
 the manifests, which record the paths, match.  Every command leaves its
 output file, stdout, stderr and exit code under ``out/``; the script lists
 every file that differs or exists on one side only and exits 1 if any does.
+Each differing file is labelled "numbers only" when its tokens match apart
+from float values, with the largest relative difference of those, and
+"structural" otherwise (an integer, a fraction, a word or the number of
+values differs, or the file exists on one side only).
 """
 
 import argparse
 import filecmp
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -44,6 +49,10 @@ BODIES = {
     "dyadic5": _dyadic(5, 5),
 }
 THETAS = ("0,0,1", "1,1,0", "1,0,0", "3,5,7")
+# A decimal with a point or an exponent; integers and fractions such as
+# 32/3 are left to the text comparison.
+FLOAT = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+)(?:[eE][-+]?\d+)?"
+                   r"|[-+]?\d+[eE][-+]?\d+")
 
 
 def commands():
@@ -112,6 +121,24 @@ def differences(parent_out, change_out):
     return sorted(set(mismatch) | set(errors) | (parent ^ change))
 
 
+def label(parent_file, change_file):
+    """"numbers only (max rel X)" when the two files have the same tokens
+    apart from float values, X the largest relative difference of those;
+    "structural" otherwise, also when either file is missing."""
+    try:
+        a = Path(parent_file).read_text()
+        b = Path(change_file).read_text()
+    except FileNotFoundError:
+        return "structural"
+    if FLOAT.split(a) != FLOAT.split(b):
+        return "structural"
+    rel = max([abs(x - y) / max(abs(x), abs(y))
+               for x, y in zip(map(float, FLOAT.findall(a)),
+                               map(float, FLOAT.findall(b))) if x != y],
+              default=0.0)
+    return f"numbers only (max rel {rel:.1e})"
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("parent", help="checkout of the parent commit")
@@ -126,7 +153,7 @@ def main(argv=None):
                                    ("change", args.change))]
     diff = differences(*outs)
     for name in diff:
-        print(f"DIFFERS: {name}")
+        print(f"DIFFERS ({label(outs[0] / name, outs[1] / name)}): {name}")
     total = len({p.name for out in outs for p in out.iterdir()})
     print(f"{len(diff)} of {total} files differ (work trees under {work})")
     return 1 if diff else 0
