@@ -25,7 +25,8 @@ from . import geometry as G
 from . import optimizer as OPT
 from . import polarity as PO
 from . import shadow as SH
-from .errors import FindingError, InputError, MahlerError
+from .errors import (FindingError, InputError, MahlerError,
+                     NumericalDegeneracy, ParallelismAmbiguity)
 
 
 def _jsonable(x):
@@ -228,12 +229,11 @@ def _cmd_bound_sweep(args):
     P = _load(args, kernel)
     dirs = _sweep_directions(P, args.dirs, args.seed, kernel)
     rows = []
-    for th in dirs:
-        try:
-            rep = CB.dimension_bound(P, th)
-        except MahlerError as e:
-            if isinstance(e, FindingError):
-                raise
+    # a direction whose parallel set or rows cannot be decided is left out;
+    # findings still raise
+    skip = (ParallelismAmbiguity, NumericalDegeneracy)
+    for th, rep in zip(dirs, CB.dimension_bounds(P, dirs, skip=skip)):
+        if rep is None:
             continue
         tx, ty, tz = (format(float(x), ".17g") for x in th.theta)
         rows.append([tx, ty, tz, str(rep.c_theta), rep.bound, rep.dim_actual,

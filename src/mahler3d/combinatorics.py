@@ -26,21 +26,15 @@ AFFINE_OCTAHEDRON = "AffineOctahedron"
 EXCLUDED = "Excluded"
 
 
+def _census(lat, parallel):
+    return Fraction(sum(lat.m(g) - 3 for g in parallel))
+
+
 def c_theta(P, theta):
     """1/2 sum of (m(G) - 3) over facets G parallel to theta, as an exact
-    Fraction (facets pair up antipodally, so the value is a whole number)."""
-    theta = SH.direction(theta)
-    lat = P.lattice
-    total = 0
-    for k in lat.I2:
-        n, _ = lat.facet_planes[k]
-        if SH.is_parallel(theta, n, P.kernel):
-            total += lat.m(k) - 3
-    ct = Fraction(total, 2)
-    if ct.denominator != 1:
-        raise InternalInconsistency(
-            f"parallel facets failed to pair up (census {total}/2)")
-    return ct
+    Fraction: the sum over the parallel facet pairs of ``parallel_facets``,
+    since a facet and its antipode have the same size."""
+    return _census(P.lattice, SH.parallel_facets(P, theta))
 
 
 @dataclass(frozen=True)
@@ -54,36 +48,48 @@ class DimensionReport:
     witness_speed: object
 
 
-def dimension_bound(P, theta):
-    """Evaluate the dimension bound at ``theta`` and certify it against the
-    actually computed admissible space.
+def dimension_bounds(P, thetas, skip=()):
+    """Evaluate the dimension bound at each direction of ``thetas`` and
+    certify it against the actually computed admissible space.
 
     Raises BoundViolation if dim A < (F - V)/2 + 2 + C_theta, which can only
     come from a kernel bug.  When the bound exceeds 3 the report carries a
-    basis vector certified non-trivial.
+    basis vector certified non-trivial.  Everything here depends on theta
+    only through its parallel facet set, so the directions that share a set
+    share its witness, found once.  A direction that ``SH.admissible_spaces``
+    skips for an error type in ``skip`` gets None in place of its report.
     """
-    theta = SH.direction(theta)
-    ct = c_theta(P, theta)
     lat = P.lattice
-    bound = Fraction(lat.F - lat.V, 2) + 2 + ct
-    space = SH.admissible_space(P, theta)
-    if space.dim < bound:
-        raise BoundViolation(
-            f"admissible dimension {space.dim} below bound {bound} "
-            f"at theta = {theta.theta}")
-    certified = bound > 3
-    witness = None
-    if certified:
-        for b in space.basis:
-            if not SH.is_trivial(space, b):
-                witness = b
-                break
-        if witness is None:
-            raise InternalInconsistency(
-                "bound > 3 but every basis vector tested trivial")
-    return DimensionReport(theta=theta, c_theta=ct, bound=bound,
-                           dim_actual=space.dim, nontrivial_certified=certified,
-                           space=space, witness_speed=witness)
+    witnesses = {}
+    reports = []
+    for space in SH.admissible_spaces(P, thetas, skip):
+        if space is None:
+            reports.append(None)
+            continue
+        ct = _census(lat, space.parallel)
+        bound = Fraction(lat.F - lat.V, 2) + 2 + ct
+        if space.dim < bound:
+            raise BoundViolation(
+                f"admissible dimension {space.dim} below bound {bound} "
+                f"at theta = {space.theta.theta}")
+        certified = bound > 3
+        if certified and space.parallel not in witnesses:
+            witnesses[space.parallel] = next(
+                (b for b in space.basis if not SH.is_trivial(space, b)), None)
+            if witnesses[space.parallel] is None:
+                raise InternalInconsistency(
+                    "bound > 3 but every basis vector tested trivial")
+        reports.append(DimensionReport(
+            theta=space.theta, c_theta=ct, bound=bound, dim_actual=space.dim,
+            nontrivial_certified=certified, space=space,
+            witness_speed=witnesses.get(space.parallel)))
+    return reports
+
+
+def dimension_bound(P, theta):
+    """The dimension report of one direction: ``dimension_bounds`` of
+    ``[theta]``."""
+    return dimension_bounds(P, [theta])[0]
 
 
 def generic_direction(bodies, seed=0, tries=100):
@@ -98,15 +104,7 @@ def generic_direction(bodies, seed=0, tries=100):
         if v == (0, 0, 0):
             continue
         d = SH.direction(v)
-        ok = True
-        for B in bodies:
-            for n, _ in B.lattice.facet_planes:
-                if SH.is_parallel(d, n, B.kernel):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if not any(SH.parallel_facets(B, d) for B in bodies):
             return d
     raise InternalInconsistency("no generic direction found in budget")
 
@@ -123,21 +121,13 @@ def in_plane_direction(B, facet, tries=100):
     v1, v2, v3 = (B.vertices[cyc[i]] for i in (0, 1, 2))
     u = sub(v2, v1)
     w = sub(v3, v1)
-    opp = lat.opposite_facet[facet]
+    own = (facet % (lat.F // 2),)
     for j in range(tries):
         cand = tuple([u[c] + j * w[c] for c in range(3)])
         if all(x == 0 for x in cand):
             continue
         d = SH.direction(cand)
-        ok = True
-        for f in lat.I2:
-            if f == facet or f == opp:
-                continue
-            n, _ = lat.facet_planes[f]
-            if SH.is_parallel(d, n, B.kernel):
-                ok = False
-                break
-        if ok:
+        if not SH.parallel_facets(B, d, exempt=own):
             return d
     raise InternalInconsistency(
         f"no in-plane witness direction for facet {facet} in budget")

@@ -323,13 +323,13 @@ def _dedupe_and_pair(points, tol, kernel):
             a = parent[a]
         return a
 
-    for a in range(n):
-        for b in range(a + 1, n):
-            d = sub(full[a], full[b])
-            if dot(d, d) <= t2:
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[ra] = rb
+    # the close pairs a < b reach the union-find in row-major order, as in
+    # a loop over all pairs, so the clusters come out as that loop's
+    for a, b in _close_pairs(full, t2):
+        if a < b:
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[ra] = rb
     clusters = {}
     for a in range(n):
         clusters.setdefault(find(a), []).append(a)
@@ -339,7 +339,8 @@ def _dedupe_and_pair(points, tol, kernel):
     for root, members in sorted(clusters.items()):
         if root in done:
             continue
-        mean = tuple([sum(full[m][c] for m in members) / len(members) for c in range(3)])
+        mean = tuple([sum(c) / len(members)
+                      for c in zip(*[full[m] for m in members])])
         anti = neg(mean)
         # locate the antipodal cluster through any member's mirror
         mirror_root = find((members[0] + n // 2) % n)
@@ -348,16 +349,29 @@ def _dedupe_and_pair(points, tol, kernel):
         if mirror_root == root:
             continue  # self-antipodal cluster collapses to the origin
         reps.append(max(mean, anti))
-    for a in range(len(reps)):
-        pts = [reps[a], neg(reps[a])]
-        for b in range(a + 1, len(reps)):
-            for p in pts:
-                for q in (reps[b], neg(reps[b])):
-                    d = sub(p, q)
-                    if dot(d, d) <= t2:
-                        raise ToleranceConflict(
-                            f"points {p} and {q} within tol but not identified")
+    # signed[i * k + a] = (-1)^i reps[a]; the first close pair of different
+    # representatives in (a, b, i, j) order is the one a loop over a < b,
+    # p in (r_a, -r_a) and q in (r_b, -r_b) would meet first
+    k = len(reps)
+    signed = reps + [neg(p) for p in reps]
+    hits = sorted((p % k, q % k, p // k, q // k)
+                  for p, q in _close_pairs(signed, t2) if p % k < q % k)
+    if hits:
+        a, b, i, j = hits[0]
+        raise ToleranceConflict(f"points {signed[i * k + a]} and "
+                                f"{signed[j * k + b]} within tol but not "
+                                "identified")
     return reps
+
+
+def _close_pairs(points, t2):
+    """The index pairs (a, b), each point with itself included, of the
+    points within squared distance t2 of each other, in row-major order;
+    each distance is summed as ``hull.dot(d, d)`` sums it."""
+    X = np.array(points).reshape(-1, 3)
+    d = [X[:, c, None] - X[None, :, c] for c in range(3)]
+    a, b = np.nonzero(d[0] * d[0] + d[1] * d[1] + d[2] * d[2] <= t2)
+    return zip(a.tolist(), b.tolist())
 
 
 def _assemble(reps, kernel, keep_order):

@@ -215,16 +215,21 @@ def descend(P0, cfg=None):
         Q = PO.polar(P)
         before = float(G.volume(P) * G.volume(Q))
         dirs = _candidate_directions(P, Q, cfg, rng)
+        sides = (("primal", P), ("polar", Q))
+        spaces = [SH.admissible_spaces(B, dirs, skip=ParallelismAmbiguity)
+                  for _, B in sides]
+        speeds = {}  # (side, parallel set) -> its non-trivial speed or None
         candidates = []
-        for th in dirs:
-            for side, B in (("primal", P), ("polar", Q)):
-                try:
-                    space = SH.admissible_space(B, th)
-                except ParallelismAmbiguity:
+        for i, th in enumerate(dirs):
+            for (side, B), side_spaces in zip(sides, spaces):
+                space = side_spaces[i]
+                if space is None:
                     continue
-                alpha = SH.nontrivial_speed(space)
-                if alpha is not None:
-                    candidates.append((side, B, th, alpha))
+                key = (side, space.parallel)
+                if key not in speeds:
+                    speeds[key] = SH.nontrivial_speed(space)
+                if speeds[key] is not None:
+                    candidates.append((side, B, th, speeds[key]))
         saw_nontrivial = bool(candidates)
         saw_variation = False
         exact = P.kernel == G.RATIONAL
@@ -341,16 +346,14 @@ def corpus_verify(count, n_pairs_max=6, seed=2024, dirs_per_body=4,
                 f"volume product {prod!r} below 32/3 - 1e-9",
                 dump=P.to_json_dict())
         products.append(prod)
+        dirs = []
         for _ in range(dirs_per_body):
             v = rng.normal(size=3)
             L = float(np.linalg.norm(v))
-            if L < 1e-9:
-                continue
-            try:
-                CB.dimension_bound(P, SH.direction(tuple([float(x) for x in v])))
-            except ParallelismAmbiguity:
-                continue
-            checked_dirs += 1
+            if L >= 1e-9:
+                dirs.append(SH.direction(tuple([float(x) for x in v])))
+        reports = CB.dimension_bounds(P, dirs, skip=ParallelismAmbiguity)
+        checked_dirs += sum(rep is not None for rep in reports)
         if P.V == 6:
             v6 += 1
             lat = P.lattice

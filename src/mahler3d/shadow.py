@@ -9,6 +9,11 @@ restrict to an affine function on every facet not parallel to theta; facets
 parallel to theta impose nothing.  Constraint rows are assembled in reduced
 coordinates (one variable per vertex pair) and only one facet per opposite
 pair contributes, since the antipodal facet repeats the same rows.
+
+The space depends on theta only through ``parallel_facets``, the set of
+facet pairs parallel to it, which is the one parallelism decision of the
+package.  ``admissible_spaces`` therefore solves each distinct set once per
+call and shares the basis among the directions that give it.
 """
 
 import itertools
@@ -110,6 +115,7 @@ class SpeedSpace:
     basis: tuple          # SpeedVectors spanning the admissible space
     trivial_basis: tuple  # speeds from w = e1, e2, e3
     dim: int
+    parallel: frozenset   # the facet pairs parallel to theta (parallel_facets)
 
 
 def _unit_normal(n):
@@ -117,21 +123,45 @@ def _unit_normal(n):
     return (float(n[0]) / L, float(n[1]) / L, float(n[2]) / L)
 
 
-def is_parallel(theta, normal, kernel):
-    """Whether theta lies in the facet plane direction lin(G - G), i.e.
-    theta.n_G = 0.  Exact via the rational carrier when both sides are exact;
-    thresholded in double mode with a refusal band.
-    """
-    if kernel == G.RATIONAL:
-        return dot(theta.carrier, normal) == 0
-    d = abs(dot(theta.theta, _unit_normal(normal)))
-    if d <= PARALLEL_TOL:
-        return True
-    if d <= AMBIGUITY_TOL:
+def _facet_normals(P):
+    """(3, F/2) array of one normal per facet pair: the exact normals as
+    objects on the rational kernel, their ``_unit_normal`` otherwise."""
+    planes = P.lattice.facet_planes[:P.lattice.F // 2]
+    if P.kernel == G.RATIONAL:
+        return np.array([n for n, _ in planes], dtype=object).T
+    return np.array([_unit_normal(n) for n, _ in planes]).T
+
+
+def _parallel_set(P, N, theta, exempt=()):
+    """``parallel_facets`` on the facet normals ``N`` of ``_facet_normals``."""
+    exact = P.kernel == G.RATIONAL
+    t = theta.carrier if exact else theta.theta
+    # elementwise, in the order of hull.dot, so every decision is the one a
+    # scalar theta.n would give
+    d = abs(N[0] * t[0] + N[1] * t[1] + N[2] * t[2])
+    tested = np.ones(len(d), dtype=bool)
+    tested[list(exempt)] = False
+    if exact:
+        return frozenset(np.flatnonzero(tested & (d == 0)).tolist())
+    band = tested & (d > PARALLEL_TOL) & (d <= AMBIGUITY_TOL)
+    if band.any():
         raise ParallelismAmbiguity(
-            f"|theta.n| = {d:.3e} inside the undecidable band "
+            f"|theta.n| = {float(d[band][0]):.3e} inside the undecidable band "
             f"({PARALLEL_TOL:g}, {AMBIGUITY_TOL:g}]")
-    return False
+    return frozenset(np.flatnonzero(tested & (d <= PARALLEL_TOL)).tolist())
+
+
+def parallel_facets(P, theta, exempt=()):
+    """The facet pairs g < F/2 whose plane is parallel to theta, i.e.
+    theta.n_g = 0, as a frozenset; the antipode g + F/2 of each is parallel
+    too.  Pairs in ``exempt`` are neither tested nor returned.
+
+    Rational kernel: exact, through the rational carrier of theta.  Double
+    kernel: |theta.n_g| <= PARALLEL_TOL against the unit normals, and
+    ParallelismAmbiguity when a tested pair falls in the band
+    (PARALLEL_TOL, AMBIGUITY_TOL].
+    """
+    return _parallel_set(P, _facet_normals(P), direction(theta), exempt)
 
 
 def _facet_triple_and_bary(P, cycle):
@@ -194,28 +224,39 @@ def _facet_triple_and_bary(P, cycle):
     return triple, bary
 
 
-def _constraint_rows(P, theta):
-    """Reduced constraint rows (length V/2) of the admissibility system."""
-    lat = P.lattice
+def _facet_rows(P, g):
+    """Reduced constraint rows (length V/2) of facet pair g: each corner
+    beyond an affinely independent triple is pinned to the triple's affine
+    interpolation."""
     k = P.n_pairs
     zero = Fraction(0) if P.kernel == G.RATIONAL else 0.0
+    cycle = P.lattice.facet_cycles[g]
+    triple, bary = _facet_triple_and_bary(P, cycle)
     rows = []
-    for g in range(lat.F // 2):
-        n, _ = lat.facet_planes[g]
-        if is_parallel(theta, n, P.kernel):
-            continue
-        cycle = lat.facet_cycles[g]
-        triple, bary = _facet_triple_and_bary(P, cycle)
-        for pos, lam in bary.items():
-            row = [zero] * k
-            contrib = [(cycle[pos], 1)] + [
-                (cycle[triple[q]], -lam[q]) for q in range(3)]
-            for v, coef in contrib:
-                if v < k:
-                    row[v] = row[v] + coef
-                else:
-                    row[v - k] = row[v - k] - coef
-            rows.append(row)
+    for pos, lam in bary.items():
+        row = [zero] * k
+        contrib = [(cycle[pos], 1)] + [
+            (cycle[triple[q]], -lam[q]) for q in range(3)]
+        for v, coef in contrib:
+            if v < k:
+                row[v] = row[v] + coef
+            else:
+                row[v - k] = row[v - k] - coef
+        rows.append(row)
+    return rows
+
+
+def _constraint_rows(P, parallel, facet_rows):
+    """Reduced constraint rows of the admissibility system: those of every
+    facet pair not in ``parallel``, in facet order.  ``facet_rows`` keeps
+    each pair's rows for the rest of the caller's work: a facet is solved
+    at most once, and only when some direction's rows include it."""
+    rows = []
+    for g in range(P.lattice.F // 2):
+        if g not in parallel:
+            if g not in facet_rows:
+                facet_rows[g] = _facet_rows(P, g)
+            rows.extend(facet_rows[g])
     return rows
 
 
@@ -257,20 +298,20 @@ def _lift(P, beta):
     return SpeedVector(alpha=tuple(list(beta) + [-b for b in beta]))
 
 
-def admissible_space(P, theta):
-    """The linear space of theta-admissible symmetric speeds, as a basis of
-    full-length SpeedVectors together with the trivial (globally affine)
-    basis from w = e1, e2, e3.
+def _max_violation(rows, beta, exact):
+    worst = Fraction(0) if exact else 0.0
+    for row in rows:
+        v = sum(c * b for c, b in zip(row, beta))
+        worst = max(worst, abs(v))
+    return worst
 
-    Facets parallel to theta contribute no rows; every other facet, one per
-    antipodal pair, pins its corners beyond an affinely independent triple to
-    the affine interpolation through that triple.  Rational kernel: exact
-    nullspace by fraction-free elimination.  Double kernel: SVD nullspace.
-    """
-    theta = direction(theta)
+
+def _solve_space(P, rows, trivial):
+    """The admissible basis for one set of constraint rows, after checking
+    that the trivial speeds satisfy the rows."""
     k = P.n_pairs
-    rows = _constraint_rows(P, theta)
-    if P.kernel == G.RATIONAL:
+    exact = P.kernel == G.RATIONAL
+    if exact:
         beta_basis = _rational_nullspace(rows, k)
     else:
         if rows:
@@ -287,9 +328,7 @@ def admissible_space(P, theta):
             eye = np.eye(k)
             beta_basis = [tuple(eye[:, j]) for j in range(k)]
     basis = tuple([_lift(P, b) for b in beta_basis])
-    trivial = tuple([trivial_speed(P, w)
-                     for w in ((1, 0, 0), (0, 1, 0), (0, 0, 1))])
-    if P.kernel == G.RATIONAL:
+    if exact:
         lim = None
     else:
         # Barycentric weights in the rows amplify facet non-planarity: a
@@ -299,31 +338,71 @@ def admissible_space(P, theta):
         row_mag = max((max(abs(c) for c in r) for r in rows), default=1.0)
         lim = 1e-6 * max(1.0, row_mag)
     for tv in trivial:
-        res = admissibility_residual(P, theta, tv, rows=rows)
+        res = _max_violation(rows, tv.alpha[:k], exact)
         bad = (res != 0) if lim is None else (res > lim * max(1.0, tv.max_abs()))
         if bad:
             raise InternalInconsistency(
                 f"trivial speed violates admissibility rows (residual {res})")
-    dim = len(basis)
-    if dim < 3:
-        raise InternalInconsistency(f"admissible dimension {dim} < 3")
-    return SpeedSpace(base=P, theta=theta, basis=basis,
-                      trivial_basis=trivial, dim=dim)
+    if len(basis) < 3:
+        raise InternalInconsistency(f"admissible dimension {len(basis)} < 3")
+    return basis
 
 
-def admissibility_residual(P, theta, alpha, rows=None):
+def admissible_spaces(P, thetas, skip=()):
+    """One SpeedSpace per direction of ``thetas``: the linear space of
+    theta-admissible symmetric speeds, as a basis of full-length
+    SpeedVectors together with the trivial (globally affine) basis from
+    w = e1, e2, e3.
+
+    Facets parallel to theta contribute no rows; every other facet, one per
+    antipodal pair, pins its corners beyond an affinely independent triple to
+    the affine interpolation through that triple.  Rational kernel: exact
+    nullspace by fraction-free elimination.  Double kernel: SVD nullspace.
+
+    The space depends on theta only through ``parallel_facets``, so each
+    distinct parallel set is solved once and its spaces share one basis.
+    A direction whose parallel set or constraint rows raise an error of a
+    type in ``skip`` gets None in place of its space.
+    """
+    thetas = [direction(th) for th in thetas]
+    N = _facet_normals(P)
+    sets = []
+    for th in thetas:
+        try:
+            sets.append(_parallel_set(P, N, th))
+        except skip:
+            sets.append(None)
+    trivial = tuple([trivial_speed(P, w)
+                     for w in ((1, 0, 0), (0, 1, 0), (0, 0, 1))])
+    facet_rows = {}
+    bases = {None: None}  # a skipped direction's set None gets no space
+    for S in sets:
+        if S not in bases:
+            try:
+                rows = _constraint_rows(P, S, facet_rows)
+            except skip:
+                bases[S] = None
+                continue
+            bases[S] = _solve_space(P, rows, trivial)
+    return [None if bases[S] is None else
+            SpeedSpace(base=P, theta=th, basis=bases[S], trivial_basis=trivial,
+                       dim=len(bases[S]), parallel=S)
+            for th, S in zip(thetas, sets)]
+
+
+def admissible_space(P, theta):
+    """The admissible space of one direction: ``admissible_spaces`` of
+    ``[theta]``."""
+    return admissible_spaces(P, [theta])[0]
+
+
+def admissibility_residual(P, theta, alpha):
     """Max violation of the admissibility rows by ``alpha`` (0 means member)."""
     theta = direction(theta)
     alpha = speed_vector(P, alpha)
-    if rows is None:
-        rows = _constraint_rows(P, theta)
-    k = P.n_pairs
-    beta = alpha.alpha[:k]
-    worst = Fraction(0) if P.kernel == G.RATIONAL else 0.0
-    for row in rows:
-        v = sum(c * b for c, b in zip(row, beta))
-        worst = max(worst, abs(v))
-    return worst
+    rows = _constraint_rows(P, parallel_facets(P, theta), {})
+    return _max_violation(rows, alpha.alpha[:P.n_pairs],
+                          P.kernel == G.RATIONAL)
 
 
 def _off_trivial(S, speeds, exact):

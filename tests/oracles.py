@@ -1,6 +1,7 @@
 """Independent brute-force oracles used to cross-check the package's own
 geometry.  Everything here goes through scipy's qhull bindings, dense linear
-algebra or plain ``Fraction`` arithmetic, never through mahler3d itself."""
+algebra, plain ``Fraction`` arithmetic or the scalar loops that mahler3d's
+vectorised code replaced, never through mahler3d itself."""
 import itertools
 from fractions import Fraction
 
@@ -213,6 +214,82 @@ def c_theta_oracle(points, theta, par_tol=1e-10):
             tot += len(inc) - 3
     assert tot % 2 == 0
     return tot // 2
+
+
+
+def parallel_pairs(normals, theta, carrier, exact, par_tol=1e-14,
+                   amb_tol=1e-10):
+    """The facet pairs parallel to a direction, one scalar test per facet.
+
+    ``normals`` holds one normal per facet pair.  Exact: carrier . n == 0.
+    Float: |theta . n / |n|| <= par_tol, and ValueError when some pair falls
+    in (par_tol, amb_tol], where parallelism cannot be decided.
+    """
+    out = set()
+    for g, n in enumerate(normals):
+        if exact:
+            if carrier[0] * n[0] + carrier[1] * n[1] + carrier[2] * n[2] == 0:
+                out.add(g)
+            continue
+        L = float(n[0] * n[0] + n[1] * n[1] + n[2] * n[2]) ** 0.5
+        u = (float(n[0]) / L, float(n[1]) / L, float(n[2]) / L)
+        d = abs(theta[0] * u[0] + theta[1] * u[1] + theta[2] * u[2])
+        if d <= par_tol:
+            out.add(g)
+        elif d <= amb_tol:
+            raise ValueError(f"|theta.n| = {d:.3e} is ambiguous")
+    return frozenset(out)
+
+
+def dedupe_and_pair_double(points, tol):
+    """Mirror, cluster and symmetrize float points by pair loops: union-find
+    over every pair within ``tol`` in row-major order, one symmetrized mean
+    per antipodal pair of clusters (a self-antipodal cluster is dropped),
+    and ValueError when two surviving signed representatives are within
+    ``tol``.  Returns the representatives."""
+    full = [tuple(map(float, p)) for p in points]
+    full = full + [(-p[0], -p[1], -p[2]) for p in full]
+    n = len(full)
+    t2 = tol * tol
+    parent = list(range(n))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    def close(p, q):
+        d = (p[0] - q[0], p[1] - q[1], p[2] - q[2])
+        return d[0] * d[0] + d[1] * d[1] + d[2] * d[2] <= t2
+
+    for a in range(n):
+        for b in range(a + 1, n):
+            if close(full[a], full[b]):
+                ra, rb = find(a), find(b)
+                if ra != rb:
+                    parent[ra] = rb
+    clusters = {}
+    for a in range(n):
+        clusters.setdefault(find(a), []).append(a)
+    reps, done = [], set()
+    for root, members in sorted(clusters.items()):
+        if root in done:
+            continue
+        mean = tuple([sum(full[m][c] for m in members) / len(members)
+                      for c in range(3)])
+        mirror_root = find((members[0] + n // 2) % n)
+        done.update((root, mirror_root))
+        if mirror_root != root:
+            reps.append(max(mean, (-mean[0], -mean[1], -mean[2])))
+    for a in range(len(reps)):
+        for b in range(a + 1, len(reps)):
+            for p in (reps[a], tuple(-c for c in reps[a])):
+                for q in (reps[b], tuple(-c for c in reps[b])):
+                    if close(p, q):
+                        raise ValueError(
+                            f"points {p} and {q} within tol but not identified")
+    return reps
 
 
 CUBE = np.array([[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1)

@@ -8,16 +8,18 @@ PUBLIC = frozenset({
     "Direction", "FaceLattice", "MAHLER_BOUND", "MinimizerClassification",
     "RATIONAL", "ShadowSystem", "SpeedSpace", "SpeedVector", "SymPolytope",
     "VolumeProductReport", "admissibility_residual", "admissible_space",
-    "build_sym_polytope", "c_theta", "check_inverse_polar_convexity",
-    "check_volume_affine", "classify_minimizer_candidate", "corpus_verify",
-    "deform", "descend", "dimension_bound", "direction", "errors",
+    "admissible_spaces", "build_sym_polytope", "c_theta",
+    "check_inverse_polar_convexity", "check_volume_affine",
+    "classify_minimizer_candidate", "corpus_verify", "deform", "descend",
+    "dimension_bound", "dimension_bounds", "direction", "errors",
     "from_representatives", "frozen_product", "generic_direction",
     "in_plane_direction", "is_trivial", "linear_image", "load_polytope",
-    "nontrivial_component", "nontrivial_speed", "persistence_interval",
-    "persistence_root", "polar", "random_symmetric_polytope",
-    "same_labeled_lattice", "save_polytope", "shadow_system",
-    "snap_to_rational", "speed_vector", "to_double", "trivial_speed",
-    "verify_incidence_duality", "volume", "volume_product", "__version__",
+    "nontrivial_component", "nontrivial_speed", "parallel_facets",
+    "persistence_interval", "persistence_root", "polar",
+    "random_symmetric_polytope", "same_labeled_lattice", "save_polytope",
+    "shadow_system", "snap_to_rational", "speed_vector", "to_double",
+    "trivial_speed", "verify_incidence_duality", "volume", "volume_product",
+    "__version__",
 })
 
 

@@ -153,3 +153,30 @@ def test_dimension_report_fields(cubocta_r):
     rep = M.dimension_bound(cubocta_r, M.direction((1, 1, 0)))
     assert rep.c_theta == Fraction(1)
     assert rep.space.dim == rep.dim_actual
+
+
+def test_dimension_bounds_equal_single_calls(cubocta_r, hex_prism_r,
+                                             corpus50):
+    rng = np.random.default_rng(11)
+    bodies = [cubocta_r, hex_prism_r, M.to_double(hex_prism_r)] \
+        + corpus50[:10] + [M.polar(P) for P in corpus50[:4]]
+    certified = 0
+    for P in bodies:
+        lat = P.lattice
+        thetas = [M.in_plane_direction(P, f) for f in range(lat.F // 2)
+                  if lat.m(f) > 3]
+        thetas += [tuple(b - a for a, b in zip(P.vertices[i], P.vertices[j]))
+                   for i, j in lat.edges[:3]]
+        thetas += [tuple(float(x) for x in rng.normal(size=3))
+                   for _ in range(4)]
+        reps = M.dimension_bounds(P, thetas)
+        singles = [M.dimension_bound(P, th) for th in thetas]
+        for rep, one in zip(reps, singles):
+            # field by field, the space and the witness included
+            for field in ("theta", "c_theta", "bound", "dim_actual",
+                          "nontrivial_certified", "space", "witness_speed"):
+                assert getattr(rep, field) == getattr(one, field), field
+            assert rep.c_theta == M.c_theta(P, rep.theta)
+            certified += rep.nontrivial_certified
+    assert certified > 0
+    assert M.dimension_bounds(cubocta_r, []) == []

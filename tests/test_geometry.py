@@ -251,3 +251,68 @@ def test_tolerances_follow_the_coordinate_scale(scale):
     assert Q.V == B.V == 8
     assert M.same_labeled_lattice(B.lattice, P.lattice)
     assert np.allclose(B.as_array(), P.as_array(), rtol=0, atol=1e-12 * scale)
+
+
+def _dedupe_cases(scale, tol):
+    """Point sets in units of ``tol`` around unit-scale bodies: jittered
+    near-duplicates and a chain that merges transitively, clusters that
+    contain their own antipode, three ways to a ToleranceConflict, and
+    random mixtures of these."""
+    rng = np.random.default_rng(int(-np.log10(scale)) + 7)
+    base = rng.normal(size=(6, 3))
+    base /= np.linalg.norm(base, axis=1)[:, None]
+    base *= scale
+    e1, e2, e3 = np.eye(3)
+    c = base[0]
+    z = np.array([0.0, 0.6, 0.8]) * scale
+    cases = {
+        "near_duplicates": list(base) + [
+            base[k] + 0.3 * tol * rng.normal(size=3) / 3 for k in (1, 2, 2)],
+        "chain": list(base) + [c + 0.9 * tol * e1, c + 1.8 * tol * e1],
+        "self_antipodal": list(base) + [0.4 * tol * e2, -0.3 * tol * e1],
+        "near_antipode": list(base) + [-base[3] + 0.5 * tol * e1],
+        "conflict": list(base[1:]) + [c - 0.49 * tol * e1, c + 0.49 * tol * e1,
+                                      c + 0.9 * tol * e2],
+        "conflict_with_mirror": list(base[1:]) + [
+            c - 0.49 * tol * e1, c + 0.49 * tol * e1, -(c + 0.9 * tol * e2)],
+        # the merged mean z conflicts with the mirror of the second point
+        # and with the third; the pair loops report the second
+        "two_conflicts": [z - 0.49 * tol * e2, z + 0.49 * tol * e2,
+                          -z + 0.9 * tol * e1, z + 0.9 * tol * e3]
+        + list(base[1:]),
+    }
+    for seed in range(8):
+        r = np.random.default_rng(seed)
+        pts = list(base)
+        for _ in range(6):
+            k = int(r.integers(0, 6))
+            pts.append(r.choice([-1, 1]) * base[k]
+                       + 1.2 * tol * r.random() * r.normal(size=3) / 1.7)
+        cases[f"mixture_{seed}"] = pts
+    return {name: [tuple(float(x) for x in p) for p in pts]
+            for name, pts in cases.items()}
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+@pytest.mark.parametrize("rel_tol", [1e-9, 1e-3])
+def test_dedupe_matches_the_pair_loops(scale, rel_tol):
+    tol = rel_tol * scale
+    outcome = {}
+    for name, pts in _dedupe_cases(scale, tol).items():
+        try:
+            ref = oracles.dedupe_and_pair_double(pts, tol)
+        except ValueError as e:
+            with pytest.raises(ToleranceConflict) as got:
+                G._dedupe_and_pair(pts, tol, G.DOUBLE)
+            assert str(got.value) == str(e), name
+            outcome[name] = "conflict"
+            continue
+        reps = G._dedupe_and_pair(pts, tol, G.DOUBLE)
+        assert reps == ref, name
+        outcome[name] = len(reps)
+    expected = {"near_duplicates": 6, "chain": 6, "self_antipodal": 6,
+                "near_antipode": 6, "conflict": "conflict",
+                "conflict_with_mirror": "conflict", "two_conflicts": "conflict"}
+    assert {k: outcome[k] for k in expected} == expected
+    # the random mixtures both merge and keep near-duplicates apart
+    assert {v for k, v in outcome.items() if k.startswith("mixture")} >= {6, 7}

@@ -148,3 +148,18 @@ def test_corpus_verify_validates_args():
         M.corpus_verify(0)
     with pytest.raises(InputError):
         M.corpus_verify(5, n_pairs_max=2)
+
+
+def test_no_state_left_on_input_bodies(corpus50, cubocta_d):
+    """Verification and descent keep nothing on the bodies they are given:
+    a per-body cache would live as long as the whole corpus."""
+    bodies = corpus50[:8] + [cubocta_d]
+
+    def keys():
+        return [(sorted(vars(P)), sorted(vars(P.lattice))) for P in bodies]
+
+    before = keys()
+    M.corpus_verify(len(bodies), bodies=bodies)
+    M.descend(cubocta_d, M.DescentConfig(seed=1, max_iters=2))
+    M.descend(corpus50[2], M.DescentConfig(seed=2, max_iters=2))
+    assert keys() == before

@@ -290,3 +290,100 @@ def test_parallelism_ambiguity_band(cube_d):
     th = M.direction((1.0, 0.0, 1e-12))
     with pytest.raises(ParallelismAmbiguity):
         M.admissible_space(cube_d, th)
+
+
+def _structural_directions(P):
+    """Every edge direction of ``P`` and, per facet pair, the in-plane
+    directions (v2 - v1) + j (v3 - v1), j = 0..2, of its first corners."""
+    X, lat = P.vertices, P.lattice
+    vecs = [tuple(b - a for a, b in zip(X[i], X[j])) for i, j in lat.edges]
+    for g in range(lat.F // 2):
+        v1, v2, v3 = (X[i] for i in lat.facet_cycles[g][:3])
+        vecs += [tuple(b - a + j * (c - a) for a, b, c in zip(v1, v2, v3))
+                 for j in range(3)]
+    return [M.direction(v) for v in vecs]
+
+
+def _parallel_outcome(fn):
+    try:
+        return fn()
+    except (ValueError, ParallelismAmbiguity):
+        return "ambiguous"
+
+
+def test_parallel_facets_match_the_scalar_rule(cube_r, cubocta_r, hex_prism_r,
+                                                corpus50):
+    named = [cube_r, cubocta_r, hex_prism_r]
+    rational = named + [M.snap_to_rational(P) for P in corpus50[:4]]
+    double = [M.to_double(P) for P in named] + corpus50[:12]
+    bodies = rational + [M.polar(P) for P in rational[3:]] \
+        + double + [M.polar(P) for P in double[3:]]
+    rng = np.random.default_rng(5)
+    sizes = set()
+    for P in bodies:
+        lat = P.lattice
+        normals = [n for n, _ in lat.facet_planes[:lat.F // 2]]
+        exact = P.kernel == M.RATIONAL
+        dirs = _structural_directions(P) + [
+            M.direction(tuple(float(x) for x in rng.normal(size=3)))
+            for _ in range(4)]
+        for th in dirs:
+            got = _parallel_outcome(lambda: M.parallel_facets(P, th))
+            ref = _parallel_outcome(lambda: oracles.parallel_pairs(
+                normals, th.theta, th.carrier, exact))
+            assert got == ref
+            if got != "ambiguous":
+                sizes.add(len(got))
+    # edge and in-plane directions are parallel to one, two or three pairs
+    assert {0, 1, 2, 3} <= sizes
+
+
+def test_parallel_facets_named_sets(cube_r, cubocta_d, hex_prism_r):
+    lat = cube_r.lattice
+    side = M.parallel_facets(cube_r, (0, 0, 1))
+    assert len(side) == 2
+    assert all(lat.facet_planes[g][0][2] == 0 for g in side)
+    # every side facet of the prism is parallel to its axis
+    assert len(M.parallel_facets(hex_prism_r, (0, 0, 1))) == 3
+    assert M.parallel_facets(cubocta_d, (3.0, 5.0, 7.0)) == frozenset()
+    for f in range(cube_r.lattice.F // 2):
+        th = M.in_plane_direction(cube_r, f)
+        assert M.parallel_facets(cube_r, th) == {f}
+        assert M.parallel_facets(cube_r, th, exempt=(f,)) == frozenset()
+
+
+def test_parallel_facets_refuse_a_near_parallel_direction(cubocta_d):
+    lat = cubocta_d.lattice
+    g = next(f for f in range(lat.F // 2) if lat.m(f) == 4)
+    n = np.array(lat.facet_planes[g][0])
+    w = np.array(M.in_plane_direction(cubocta_d, g).theta)
+    th = M.direction(tuple(w + 1e-12 * n))
+    d = abs(float(np.dot(th.theta, n)))
+    assert 1e-14 < d <= 1e-10
+    with pytest.raises(ValueError):
+        oracles.parallel_pairs([n], th.theta, th.carrier, False)
+    with pytest.raises(ParallelismAmbiguity):
+        M.parallel_facets(cubocta_d, th)
+    with pytest.raises(ParallelismAmbiguity):
+        M.admissible_spaces(cubocta_d, [(3.0, 5.0, 7.0), th])
+    assert M.parallel_facets(cubocta_d, th, exempt=(g,)) == frozenset()
+    good, skipped = M.admissible_spaces(cubocta_d, [(3.0, 5.0, 7.0), th],
+                                        skip=ParallelismAmbiguity)
+    assert skipped is None
+    assert good == M.admissible_space(cubocta_d, (3.0, 5.0, 7.0))
+
+
+def test_admissible_spaces_share_one_basis_per_parallel_set(cubocta_r,
+                                                            cubocta_d):
+    for P in (cubocta_r, cubocta_d):
+        one = 1 if P.kernel == M.RATIONAL else 1.0
+        thetas = [(3 * one, 5, 7), (1 * one, 1, 0), (-2 * one, 9, 4),
+                  (-1 * one, -1, 0), (1 * one, 0, 0)]
+        spaces = M.admissible_spaces(P, thetas)
+        assert spaces == [M.admissible_space(P, th) for th in thetas]
+        assert [S.theta for S in spaces] == [M.direction(th) for th in thetas]
+        by_set = {}
+        for S in spaces:
+            assert S.parallel == M.parallel_facets(P, S.theta)
+            assert by_set.setdefault(S.parallel, S.basis) is S.basis
+        assert len(by_set) == 3
