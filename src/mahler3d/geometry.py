@@ -60,10 +60,10 @@ def as_point(p, kernel):
 class FaceLattice:
     """Labeled incidence structure of a 3-polytope.
 
-    Vertices, edges, and facets carry integer labels (I0, I1, I2).  phi1 maps
-    a vertex to its incident edge labels, phi2 an edge to its two incident
-    facets, and phi0 a facet to its vertex cycle, ordered along the boundary
-    consistently with the outward normal.  facet_planes[k] = (n, h) with the
+    Vertices, edges, and facets carry integer labels (I0, I1, I2).  phi2
+    maps an edge to its two incident facets and phi0 a facet to its vertex
+    cycle, ordered along the boundary consistently with the outward normal;
+    ``d`` counts a vertex's edges.  facet_planes[k] = (n, h) with the
     facet on {x : n.x = h}; normals are unit length in double mode and
     unnormalized exact vectors in rational mode.
 
@@ -85,11 +85,6 @@ class FaceLattice:
                 i = j
         self.edges = tuple(sorted(owners))    # tuple of sorted (i, j)
         self.phi2 = tuple([tuple(owners[e]) for e in self.edges])
-        phi1 = [set() for _ in range(n_vertices)]
-        for k, (i, j) in enumerate(self.edges):
-            phi1[i].add(k)
-            phi1[j].add(k)
-        self.phi1 = tuple([frozenset(s) for s in phi1])
         self._vertex_facet_cycles = None
 
     @property
@@ -123,7 +118,7 @@ class FaceLattice:
         return len(self.facet_cycles[k])
 
     def d(self, i):
-        return len(self.phi1[i])
+        return sum(i in e for e in self.edges)
 
     def facet_size_census(self):
         census = {}

@@ -138,8 +138,26 @@ def _candidate_directions(P, Q, cfg, rng):
     return uniq
 
 
-def _float_speed(alpha):
-    return SH.SpeedVector(tuple([float(x) for x in alpha.alpha]))
+def _candidates(P, Q, cfg, rng):
+    """(side, body, direction, non-trivial speed) for every candidate
+    direction and side, ``P`` or its polar ``Q``, that has such a speed."""
+    dirs = _candidate_directions(P, Q, cfg, rng)
+    sides = (("primal", P), ("polar", Q))
+    spaces = [SH.admissible_spaces(B, dirs, skip=ParallelismAmbiguity)
+              for _, B in sides]
+    speeds = {}  # (side, parallel set) -> its non-trivial speed or None
+    candidates = []
+    for i, th in enumerate(dirs):
+        for (side, B), side_spaces in zip(sides, spaces):
+            space = side_spaces[i]
+            if space is None:
+                continue
+            key = (side, space.parallel)
+            if key not in speeds:
+                speeds[key] = SH.nontrivial_speed(space)
+            if speeds[key] is not None:
+                candidates.append((side, B, th, speeds[key]))
+    return candidates
 
 
 def _snap_iterate(P):
@@ -165,16 +183,16 @@ def _line_search(B, theta, alpha, tol):
 
     On a fixed lattice |P_t| is affine and 1/|P_t polar| convex in t, so the
     product is quasi-concave on the persistence interval and takes its
-    minimum at an endpoint: one of the breakpoints of ``persistence_root``.
-    The frozen-lattice evaluator reads t = 0 and the breakpoints (a side
-    with no root is not a move) in one call.  Returns (t, product at t,
-    largest finite |product change| at a breakpoint), with t the lower
-    breakpoint when it improves on t = 0 by more than ``tol``, and t = 0
-    otherwise.
+    minimum at an endpoint: one of the breakpoints.  The float coefficients
+    of the shadow system, built once on either kernel, give the breakpoints
+    and the frozen-lattice products there and at t = 0.  Returns (t,
+    product at t, largest finite |product change| at a breakpoint), with t
+    the lower breakpoint when it improves on t = 0 by more than ``tol``,
+    and t = 0 otherwise.
     """
-    ts = [0.0] + [float(r) for r in SH.persistence_root(B, theta, alpha)
-                  if r is not None]
-    vals = SH.frozen_product(B, theta, alpha)(ts).tolist()
+    planes = SH._affine_planes(B, theta, alpha, False)
+    ts = [0.0] + [r for r in SH._roots(B, planes, False) if r is not None]
+    vals = SH._products(B, planes, ts).tolist()
     change = max((abs(v - vals[0]) for v in vals if math.isfinite(v)),
                  default=0.0)
     best_f, best_t = min(zip(vals, ts))
@@ -186,13 +204,14 @@ def _line_search(B, theta, alpha, tol):
 def descend(P0, cfg=None):
     """Greedy certified descent of the volume product from ``P0``.
 
-    Every accepted move goes to a lattice breakpoint of its deformation, is
-    re-hulled there, and strictly decreases the true product by more than
-    the termination tolerance; on the rational kernel the breakpoint is the
-    exact root on the exact body.  The trace records each move, the final
-    classification, and the gap to 32/3; it also flags the suspicious stall
-    where a non-trivial speed has a breakpoint product different from the
-    current one, but neither breakpoint improves it.
+    Candidates are scored by ``_line_search`` on the body itself, on both
+    kernels, and tried best first; near-ties go by side and direction.  An
+    accepted move goes to the breakpoint of ``persistence_root`` (exact on
+    the rational kernel), is re-hulled there, and strictly decreases the
+    true product by more than the termination tolerance.  The trace records
+    each move, the final classification, and the gap to 32/3; it also flags
+    the suspicious stall where a non-trivial speed has a breakpoint product
+    different from the current one, but neither breakpoint improves it.
     """
     cfg = cfg or DescentConfig()
     N = cfg.max_vertices
@@ -214,67 +233,40 @@ def descend(P0, cfg=None):
             break
         Q = PO.polar(P)
         before = float(G.volume(P) * G.volume(Q))
-        dirs = _candidate_directions(P, Q, cfg, rng)
-        sides = (("primal", P), ("polar", Q))
-        spaces = [SH.admissible_spaces(B, dirs, skip=ParallelismAmbiguity)
-                  for _, B in sides]
-        speeds = {}  # (side, parallel set) -> its non-trivial speed or None
-        candidates = []
-        for i, th in enumerate(dirs):
-            for (side, B), side_spaces in zip(sides, spaces):
-                space = side_spaces[i]
-                if space is None:
-                    continue
-                key = (side, space.parallel)
-                if key not in speeds:
-                    speeds[key] = SH.nontrivial_speed(space)
-                if speeds[key] is not None:
-                    candidates.append((side, B, th, speeds[key]))
-        saw_nontrivial = bool(candidates)
         saw_variation = False
-        exact = P.kernel == G.RATIONAL
-        # Search on a float proxy (the body itself on the double kernel);
-        # exact bodies only pay exact-arithmetic cost for the accepted move.
-        proxies = {"primal": G.to_double(P) if exact else P,
-                   "polar": G.to_double(Q) if exact else Q}
         scored = []
+        candidates = _candidates(P, Q, cfg, rng)
         for idx, (side, B, th, alpha) in enumerate(candidates):
-            Bp = proxies[side]
-            ap = _float_speed(alpha) if exact else alpha
             try:
-                t, prod, change = _line_search(Bp, th, ap, tol)
+                t, prod, change = _line_search(B, th, alpha, tol)
             except NumericalDegeneracy:
                 continue
             if change > max(tol, 1e-9 * before):
                 saw_variation = True
             if prod < before - tol:
-                scored.append(((prod, abs(t), idx), side, B, th, alpha, t))
-        scored.sort(key=lambda s: s[0])
-        accepted = None
-        for _, side, B, th, alpha, t in scored:
-            if exact:
-                try:
-                    t_minus, t_plus = SH.persistence_root(B, th, alpha)
-                except NoPersistence:
-                    continue
-                t = t_plus if t > 0 else t_minus
+                scored.append((prod, abs(t), idx, side, B, th, alpha, t))
+        # scores within 1e-9 relative of the best are one move up to
+        # rounding: take those in (side, direction key) order
+        cut = min([s[0] for s in scored], default=0.0) * (1 + 1e-9)
+        scored.sort(key=lambda s: (0, s[3], _direction_key(s[5]))
+                    if s[0] <= cut else (1,) + s[:3])
+        for *_, side, B, th, alpha, t in scored:
+            try:
+                t = SH.persistence_root(B, th, alpha)[t > 0]
                 if t is None:
                     continue
-            try:
                 moved = SH.deform(B, th, alpha, t)
-            except (DegenerateDeformation, NumericalDegeneracy):
+            except (NoPersistence, DegenerateDeformation, NumericalDegeneracy):
                 continue
             newP = moved if side == "primal" else PO.polar(moved)
             after = float(PO.volume_product(newP).product)
             if after < before - tol and newP.V <= N:
-                accepted = (side, th, alpha, t, newP, after)
                 break
-        if accepted is None:
+        else:
             final_cls = cls
-            stall = saw_nontrivial and saw_variation
+            stall = saw_variation   # only a non-trivial candidate sets it
             terminated_by = "no-improving-move"
             break
-        side, th, alpha, t, newP, after = accepted
         steps.append(DescentStep(snapshot=P.to_json_dict(), side=side,
                                  theta=th, alpha=alpha, t=float(t),
                                  product_before=before, product_after=after))

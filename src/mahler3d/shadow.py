@@ -3,6 +3,10 @@ direction, the analytic persistence width of the face lattice, a
 frozen-lattice volume-product evaluator, and the two trajectory checkers
 (volume affineness, inverse polar-volume convexity).
 
+Along y_i = x_i + t alpha_i u every facet plane of a fixed lattice moves
+affinely; ``_affine_planes`` computes its coefficients, exactly or in
+floats, and ``persistence_root`` and ``frozen_product`` read them.
+
 A speed vector assigns one real per vertex, odd under the antipodal pairing.
 The admissible space for a direction theta consists of the odd speeds that
 restrict to an affine function on every facet not parallel to theta; facets
@@ -27,8 +31,7 @@ from .errors import (AffinenessViolation, ConvexityViolation,
                      DegenerateDeformation, DegenerateInput, InputError,
                      InternalInconsistency, NoPersistence,
                      NumericalDegeneracy, ParallelismAmbiguity)
-from .hull import (DIST_TOL_REL, _project_axis, coordinate_scale, cross, dot,
-                   sub)
+from .hull import DIST_TOL_REL, _integer_points, _project_axis, cross, dot, sub
 
 PARALLEL_TOL = 1e-14      # |theta.n| at or below this counts as parallel (double)
 AMBIGUITY_TOL = 1e-10     # band (PARALLEL_TOL, AMBIGUITY_TOL] is refused
@@ -522,62 +525,87 @@ def _lattice_holds(P, theta, alpha, t):
     return G.same_labeled_lattice(P.lattice, Q.lattice)
 
 
+def _affine_planes(P, theta, alpha, exact):
+    """The system y_i = x_i + t alpha_i u on the fixed lattice of ``P`` as
+    ``(n0, n1, h0, h1, s0, s1, incident, unit)``, one row per facet pair
+    f < F/2 (the antipode reads the same functions negated).  Facet f lies
+    on {x : (n0 + t n1).x = h0 + t h1}, with its Newell normal and its mean
+    offset over the cycle, vertex j is s0 + t s1 above that plane, and
+    ``incident[f, j]`` marks the corners of f.
+
+    As y_i x y_{i+1} = x_i x x_{i+1} + t (alpha_{i+1} x_i - alpha_i x_{i+1})
+    x u, the u x u term vanishing, n1 is orthogonal to u, and the offsets
+    and support functions lose their t^2 terms.  Floats of ``P.as_array()``
+    and theta, or with ``exact`` the rational coordinates, speed and carrier
+    scaled to Python integers, in units of t = ``unit``.
+    """
+    cycles = P.lattice.facet_cycles[:P.lattice.F // 2]
+    m = [len(c) for c in cycles]
+    if exact:   # x = X/dx, alpha = a/da, u = U/du: dx y = X + (t/unit) a U
+        (X, dx), ((a,), da), ((u,), du) = [_integer_points(v) for v in (
+            P.vertices, [alpha.alpha], [theta.carrier])]
+        X, a, u = (np.array(v, dtype=object) for v in (X, a, u))
+        sizes = np.array([Fraction(k) for k in m], dtype=object)
+        unit = Fraction(da * du, dx)
+    else:
+        X, a, u = P.as_array(), alpha.as_array(), np.array(theta.theta)
+        sizes, unit = np.array(m), 1.0
+    flat = np.concatenate(cycles)
+    succ = np.concatenate([np.roll(c, -1) for c in cycles])
+    starts = np.cumsum([0] + m[:-1])
+    owner = np.repeat(np.arange(len(m)), m)
+    p, q = X[flat], X[succ]
+    n0 = np.add.reduceat(np.cross(p, q), starts)
+    n1 = np.add.reduceat(np.cross(a[succ, None] * p - a[flat, None] * q, u),
+                         starts)
+    nu = n0 @ u
+    h0 = np.add.reduceat((n0[owner] * p).sum(axis=1), starts) / sizes
+    h1 = (np.add.reduceat((n1[owner] * p).sum(axis=1), starts)
+          + nu * np.add.reduceat(a[flat], starts)) / sizes
+    incident = np.zeros((len(m), P.V), dtype=bool)
+    incident[owner, flat] = True
+    return (n0, n1, h0, h1, n0 @ X.T - h0[:, None],
+            n1 @ X.T + np.outer(nu, a) - h1[:, None], incident, unit)
+
+
+def _roots(P, planes, exact):
+    """``persistence_root`` read from ``_affine_planes``."""
+    n0, _, _, _, s0, s1, incident, unit = planes
+    drifting, crossing = incident & (s1 != 0), ~incident & (s1 != 0)
+    if exact and drifting.any():
+        f, j = np.argwhere(drifting)[0]
+        raise NoPersistence(f"vertex {j} leaves the plane of facet {f}; the "
+                            "speed is not admissible for this direction")
+    roots = -s0[crossing] / s1[crossing]
+    if not exact:
+        drift = (DIST_TOL_REL * np.abs(P.as_array()).max()
+                 * np.linalg.norm(n0, axis=1)[np.nonzero(drifting)[0]]
+                 / np.abs(s1[drifting]))
+        roots = np.concatenate([roots, -drift, drift])
+    below, above = roots[roots < 0], roots[roots >= 0]
+    lo = below.max() * unit if below.size else None
+    hi = above.min() * unit if above.size else None
+    return (lo, hi) if exact else tuple(
+        [None if r is None else float(r) for r in (lo, hi)])
+
+
 def persistence_root(P, theta, alpha):
     """The breakpoints ``(t_minus, t_plus)``, t_minus < 0 < t_plus, nearest
     0 on each side at which the labeled face lattice of the deformation
     stops being certified; a side where nothing binds reads None.
 
-    For each facet f (one per antipodal pair) with first cycle corners
-    a, b, c and every vertex j, the support function
-    s_fj(t) = det[y_b - y_a, y_c - y_a, y_j - y_a], y_i = x_i + t alpha_i u,
-    is exactly affine, s0 + t s1: every displacement is parallel to u, so
-    each term with two u-columns vanishes.  The lattice holds while every
-    incident s_fj stays 0 and every other keeps its sign, so each
-    non-incident function bounds the side of its zero -s0/s1.  A corner of f
-    that straightens puts a neighbour on the plane of an adjacent facet,
-    whose function then vanishes, so corners need no separate test.
-
-    Rational kernel: the roots are exact Fractions, and an incident vertex
-    with s1 != 0 raises NoPersistence.  Double kernel: an incident vertex
-    bounds both sides by the drift dist_tol |n| / |s1| within which it
-    stays on its facet plane.
+    The lattice holds while every incident support function s0 + t s1 of
+    ``_affine_planes`` stays 0 and every other keeps its sign, so each
+    non-incident one bounds the side of its zero -s0/s1 (a corner that
+    straightens puts a neighbour on an adjacent facet plane, so corners
+    need no test).  Rational kernel: exact Fractions, and an incident
+    vertex with s1 != 0 raises NoPersistence.  Double kernel: an incident
+    vertex bounds both sides by the drift dist_tol |n0| / |s1| within which
+    it stays on its facet plane.
     """
-    theta = direction(theta)
-    alpha = speed_vector(P, alpha)
     exact = P.kernel == G.RATIONAL
-    u = theta.carrier if exact else theta.theta
-    X, al, lat = P.vertices, alpha.alpha, P.lattice
-    if not exact:
-        dist_tol = DIST_TOL_REL * coordinate_scale(X)
-    lo = hi = None
-    for f in range(lat.F // 2):  # an antipode gives the same functions negated
-        cycle = lat.facet_cycles[f]
-        a, b, c = cycle[:3]
-        B, C = sub(X[b], X[a]), sub(X[c], X[a])
-        n = cross(B, C)
-        nu = dot(n, u)
-        db, dc = al[b] - al[a], al[c] - al[a]
-        w = tuple([db * p + dc * q for p, q in zip(cross(u, C), cross(B, u))])
-        for j in range(P.V):
-            J = sub(X[j], X[a])
-            s1 = dot(w, J) + (al[j] - al[a]) * nu
-            if s1 == 0:
-                continue
-            if j in cycle:
-                if exact:
-                    raise NoPersistence(
-                        f"vertex {j} leaves the plane of facet {f}; the "
-                        "speed is not admissible for this direction")
-                drift = dist_tol * dot(n, n) ** 0.5 / abs(s1)
-                roots = (-drift, drift)
-            else:
-                roots = (-dot(n, J) / s1,)
-            for r in roots:
-                if r < 0:
-                    lo = r if lo is None else max(lo, r)
-                else:
-                    hi = r if hi is None else min(hi, r)
-    return lo, hi
+    return _roots(P, _affine_planes(P, direction(theta),
+                                    speed_vector(P, alpha), exact), exact)
 
 
 def persistence_interval(P, theta, alpha, c_max=DEFAULT_C_MAX):
@@ -607,61 +635,44 @@ def persistence_interval(P, theta, alpha, c_max=DEFAULT_C_MAX):
         "not admissible for this direction")
 
 
+def _products(P, planes, ts):
+    """|P_t| |P_t polar| over the float vector ``ts`` from float
+    ``_affine_planes``, +inf where an offset is not positive.  The Newell
+    normal is twice the area vector, so |P_t| is a third of the offset sum
+    over the facet pairs; polar vertex f is n/h, fanned over the vertex
+    rings.  A collapsing facet has n = (t - t*) n1 and h = (t - t*) h1, so
+    where n vanishes its polar vertex is the limit n1/h1.
+    """
+    n0, n1, h0, h1 = planes[:4]
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))[:, None]
+    h, n = h0 + ts * h1, n0 + ts[:, :, None] * n1        # (T, F/2 [, 3])
+    norm = np.linalg.norm
+    collapsed = norm(n, axis=2) <= 1e-12 * (norm(n0, axis=1)
+                                            + np.abs(ts) * norm(n1, axis=1))
+    tri = np.array([(cyc[0], cyc[k], cyc[k + 1])
+                    for cyc in P.lattice.vertex_facet_cycles()
+                    for k in range(1, len(cyc) - 1)]).T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = np.where(collapsed[:, :, None], n1 / h1[:, None],
+                     n / h[:, :, None])
+        q = np.concatenate([q, -q], axis=1)[:, tri]      # (T, 3, tris, 3)
+        polar = (q[:, 0] * np.cross(q[:, 1], q[:, 2])).sum(axis=(1, 2)) / 6
+        prod = h.sum(axis=1) / 3 * np.abs(polar)
+    ok = ((h > 0) | collapsed).all(axis=1) & np.isfinite(prod)
+    return np.where(ok, prod, np.inf)
+
+
 def frozen_product(P, theta, alpha):
     """Closure ts -> array of |P_t| |P_t polar| over a vector of t, with the
-    labeled face lattice of the double-kernel body ``P`` held fixed.
-
-    Valid on the closed interval between the breakpoints of
-    ``persistence_root``: the lattice cannot change inside it, and at a
-    breakpoint the body is the limit of the frozen one.  The vertices are
-    X + t alpha u; facet normals come from Newell's formula over the fixed
-    cycles, normalised, and each offset is the mean of n.x over its cycle,
-    as ``hull_3d`` builds them; the polar vertices are n/h; both volumes
-    are origin fans, over the facet cycles and over the vertex rings (the
-    polar's facet cycles).  A t where an offset is not positive
-    reads +inf.  On fixed cycles the volume is affine by construction, so
-    the trajectory checkers deliberately re-hull instead of using this.
+    labeled face lattice of ``P`` held fixed: ``_products`` of the float
+    ``_affine_planes``, on either kernel.  Valid on the closed interval
+    between the breakpoints of ``persistence_root``, where the body is the
+    limit of the frozen one.  On fixed cycles the volume is affine by
+    construction, so the trajectory checkers re-hull instead.
     """
-    lat = P.lattice
-    X = P.as_array().T[:, None, :]                 # (3, 1, V)
-    a = speed_vector(P, alpha).as_array()
-    u = np.array(direction(theta).theta)[:, None, None]
-    cycles = lat.facet_cycles
-    flat = np.concatenate(cycles)
-    succ = np.concatenate([np.roll(cyc, -1) for cyc in cycles])
-    sizes = np.array([len(cyc) for cyc in cycles])
-    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-    owner = np.repeat(np.arange(len(cycles)), sizes)
-
-    def fan(cyc_list):
-        return np.array([(cyc[0], cyc[k], cyc[k + 1]) for cyc in cyc_list
-                         for k in range(1, len(cyc) - 1)]).T
-
-    primal_fan = fan(cycles)
-    polar_fan = fan(lat.vertex_facet_cycles())
-
-    def fan_volume(Y, tri):
-        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = (Y[:, :, k] for k in tri)
-        det = (a0 * (b1 * c2 - b2 * c1) + a1 * (b2 * c0 - b0 * c2)
-               + a2 * (b0 * c1 - b1 * c0))
-        return det.sum(axis=1) / 6.0
-
-    def f(ts):
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        Y = X + u * (ts[:, None] * a)              # (3, T, V), as deform rounds
-        p, q = Y[:, :, flat], Y[:, :, succ]
-        d, s = p - q, p + q
-        nw = np.add.reduceat(d[[1, 2, 0]] * s[[2, 0, 1]], starts, axis=2)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            n = nw / np.sqrt((nw * nw).sum(axis=0))
-            h = np.add.reduceat((n[:, :, owner] * p).sum(axis=0), starts,
-                                axis=1) / sizes
-            prod = fan_volume(Y, primal_fan) * np.abs(
-                fan_volume(n / h, polar_fan))
-        ok = (h > 0).all(axis=1) & np.isfinite(prod)
-        return np.where(ok, prod, np.inf)
-
-    return f
+    planes = _affine_planes(P, direction(theta), speed_vector(P, alpha),
+                            False)
+    return lambda ts: _products(P, planes, ts)
 
 
 def sample_grid(c, samples, exact):

@@ -301,3 +301,53 @@ CUBOCTA = np.array(sorted(set(itertools.permutations((1, 1, 0))) |
                           set(itertools.permutations((-1, -1, 0))) |
                           set(itertools.permutations((-1, 1, 0)))),
                    dtype=float)
+
+
+def persistence_root_triangles(vertices, cycles, alpha, u, exact,
+                               dist_tol=None):
+    """The breakpoints (t_minus, t_plus) of the shadow system
+    y_i = x_i + t alpha_i u from scalar triangle determinants.
+
+    For each facet cycle (one per antipodal pair) with first corners a, b, c
+    and every vertex j, s_fj(t) = det[y_b - y_a, y_c - y_a, y_j - y_a] =
+    s0 + t s1.  A non-incident vertex bounds the side of -s0/s1; an
+    incident vertex with s1 != 0 raises ValueError when ``exact`` and
+    bounds both sides by dist_tol |n| / |s1| otherwise.
+    """
+    def sub(p, q):
+        return (p[0] - q[0], p[1] - q[1], p[2] - q[2])
+
+    def cross(p, q):
+        return (p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2],
+                p[0] * q[1] - p[1] * q[0])
+
+    def dot(p, q):
+        return p[0] * q[0] + p[1] * q[1] + p[2] * q[2]
+
+    X, al = vertices, alpha
+    lo = hi = None
+    for f, cycle in enumerate(cycles[:len(cycles) // 2]):
+        a, b, c = cycle[:3]
+        B, C = sub(X[b], X[a]), sub(X[c], X[a])
+        n = cross(B, C)
+        nu = dot(n, u)
+        db, dc = al[b] - al[a], al[c] - al[a]
+        w = tuple([db * p + dc * q for p, q in zip(cross(u, C), cross(B, u))])
+        for j in range(len(X)):
+            J = sub(X[j], X[a])
+            s1 = dot(w, J) + (al[j] - al[a]) * nu
+            if s1 == 0:
+                continue
+            if j in cycle:
+                if exact:
+                    raise ValueError(f"vertex {j} leaves facet {f}")
+                drift = dist_tol * dot(n, n) ** 0.5 / abs(s1)
+                roots = (-drift, drift)
+            else:
+                roots = (-dot(n, J) / s1,)
+            for r in roots:
+                if r < 0:
+                    lo = r if lo is None else max(lo, r)
+                else:
+                    hi = r if hi is None else min(hi, r)
+    return lo, hi

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import mahler3d as M
@@ -163,3 +164,42 @@ def test_no_state_left_on_input_bodies(corpus50, cubocta_d):
     M.descend(cubocta_d, M.DescentConfig(seed=1, max_iters=2))
     M.descend(corpus50[2], M.DescentConfig(seed=2, max_iters=2))
     assert keys() == before
+
+
+def test_rational_descend_builds_no_double_hull(monkeypatch):
+    # Moves are scored on the float coefficients of the exact body itself,
+    # so no double proxy is hulled.
+    from mahler3d import hull
+    calls = []
+    real = hull.hull_3d
+
+    def counted(points, exact, dist_tol=None):
+        calls.append(exact)
+        return real(points, exact, dist_tol)
+
+    monkeypatch.setattr(hull, "hull_3d", counted)
+    P = M.build_sym_polytope(CUBOCTA_REPS, kernel=M.RATIONAL)
+    tr = M.descend(P, M.DescentConfig(seed=5, max_iters=2))
+    assert tr.steps
+    assert calls and all(calls)
+
+
+def test_tied_moves_ignore_score_noise(monkeypatch):
+    # The seed-5 cuboctahedron has several moves with one exact product;
+    # their float scores differ by rounding only, and noise of that size
+    # must not change which move is taken.
+    from mahler3d import optimizer
+    P = M.build_sym_polytope(CUBOCTA_REPS, kernel=M.RATIONAL)
+    cfg = M.DescentConfig(seed=5, max_iters=1)
+    first = M.descend(P, cfg).steps[0]
+    real = optimizer._line_search
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+
+        def noisy(*args):
+            t, prod, change = real(*args)
+            return t, prod * (1 + 1e-12 * rng.uniform(-1, 1)), change
+
+        monkeypatch.setattr(optimizer, "_line_search", noisy)
+        step = M.descend(P, cfg).steps[0]
+        assert (step.side, step.theta) == (first.side, first.theta)

@@ -190,11 +190,117 @@ def test_persistence_root_rational_tight(cubocta_r):
             assert not _lattice_kept(P, th, alpha, root)
 
 
+def _root_systems(P, rng):
+    """(theta, alpha) pairs of ``P``: three random directions and the first
+    four edge directions, each with its non-trivial speed, its first basis
+    speed and a trivial speed."""
+    dirs = _structural_directions(P)[:4] + [
+        M.direction(tuple(float(x) for x in rng.normal(size=3)))
+        for _ in range(3)]
+    out = []
+    for S in M.admissible_spaces(P, dirs, skip=ParallelismAmbiguity):
+        if S is not None:
+            speed = M.nontrivial_speed(S)
+            out += [(S.theta, a) for a in ([speed] if speed else [])
+                    + [S.basis[0], S.trivial_basis[0]]]
+    return out
+
+
+def test_persistence_root_matches_the_triangle_oracle(cube_r, cubocta_r,
+                                                      hex_prism_r):
+    rng = np.random.default_rng(31)
+    bodies = [cube_r, cubocta_r, hex_prism_r] + [
+        _dyadic_sphere_body(k, rng) for k in (4, 5, 6)]
+    systems = 0
+    for P in bodies + [M.polar(P) for P in bodies]:
+        for th, alpha in _root_systems(P, rng):
+            got = M.persistence_root(P, th, alpha)
+            ref = oracles.persistence_root_triangles(
+                P.vertices, P.lattice.facet_cycles, alpha.alpha, th.carrier,
+                True)
+            assert got == ref
+            assert all(r is None or isinstance(r, Fraction) for r in got)
+            systems += 1
+    assert systems >= 200
+    # a speed that is not admissible fails on both sides
+    th = M.direction((3, 5, 7))
+    vals = [1, 0, 0, 0, 0, 0]
+    alpha = M.speed_vector(cubocta_r, vals + [-v for v in vals])
+    with pytest.raises(NoPersistence):
+        M.persistence_root(cubocta_r, th, alpha)
+    with pytest.raises(ValueError):
+        oracles.persistence_root_triangles(
+            cubocta_r.vertices, cubocta_r.lattice.facet_cycles, alpha.alpha,
+            th.carrier, True)
+
+
+def test_persistence_root_double_matches_the_triangle_oracle(corpus50):
+    # Non-trivial speeds only: a trivial speed's incident-vertex drift
+    # bounds are quotients of rounding noise on both sides.
+    rng = np.random.default_rng(3)
+    roots = 0
+    for P in corpus50:
+        for B in (P, M.polar(P)):
+            dirs = [M.direction(tuple(float(x) for x in rng.normal(size=3)))
+                    for _ in range(4)]
+            dist_tol = 1e-9 * float(np.abs(B.as_array()).max())
+            for S in M.admissible_spaces(B, dirs, skip=ParallelismAmbiguity):
+                alpha = S and M.nontrivial_speed(S)
+                if alpha is None:
+                    continue
+                got = M.persistence_root(B, S.theta, alpha)
+                ref = oracles.persistence_root_triangles(
+                    B.vertices, B.lattice.facet_cycles, alpha.alpha,
+                    S.theta.theta, False, dist_tol)
+                for g, r in zip(got, ref):
+                    assert (g is None) == (r is None)
+                    if g is not None:
+                        assert abs(g - r) <= 1e-9 * abs(r)
+                        roots += 1
+    assert roots >= 200
+
+
+def test_collapsing_breakpoints_read_the_exact_product(cubocta_r):
+    # The first moves of a seed-5 descent from the rational cuboctahedron:
+    # 6 of their 48 breakpoints collapse a facet, where n and h of the
+    # frozen evaluator vanish together and the polar vertex is n1/h1.
+    from mahler3d import optimizer
+    cfg = M.DescentConfig(seed=5)
+    moves = optimizer._candidates(cubocta_r, M.polar(cubocta_r), cfg,
+                                  np.random.default_rng(cfg.seed))
+    breakpoints = 0
+    for _, B, th, alpha in moves:
+        for t in M.persistence_root(B, th, alpha):
+            ref = M.volume_product(M.deform(B, th, alpha, t)).product
+            got = M.frozen_product(B, th, alpha)([float(t)])[0]
+            assert abs(got - float(ref)) <= 1e-9 * float(ref)
+            breakpoints += 1
+    assert breakpoints == 48
+
+
 def test_frozen_product_matches_rehull(corpus50):
     # Both paths round differently; their gap grows with the cancellation in
     # the fan volumes, which R^3 / |K| bounds (about 1 for round bodies).
     def kappa(B):
         return B.circumradius() ** 3 / float(M.volume(B))
+
+    def at_breakpoints(B, th, alpha):
+        # At a breakpoint the lattice changes, but the body is the limit of
+        # the frozen one, so the products still agree.  A trivial speed's
+        # breakpoint can flatten the body; nothing to compare.
+        ts = [float(r) for r in M.persistence_root(B, th, alpha)
+              if r is not None]
+        compared = 0
+        for t, g in zip(ts, M.frozen_product(B, th, alpha)(ts)):
+            try:
+                Q = M.deform(B, th, alpha, t)
+            except DegenerateDeformation:
+                continue
+            compared += 1
+            ref = float(M.volume_product(Q).product)
+            tol = 1e-12 * max(1.0, kappa(Q) + kappa(M.polar(Q)))
+            assert abs(g - ref) <= tol * ref
+        return compared
 
     rng = np.random.default_rng(23)
     breakpoints = 0
@@ -213,20 +319,20 @@ def test_frozen_product_matches_rehull(corpus50):
                 ref = float(M.volume_product(Q).product)
                 tol = 1e-12 * max(1.0, kappa(Q) + kappa(M.polar(Q)))
                 assert abs(g - ref) <= tol * ref
-            # At a breakpoint the lattice changes, but the body is the limit
-            # of the frozen one, so the products still agree.  A trivial
-            # speed's breakpoint can flatten the body; nothing to compare.
-            ts = [float(r) for r in M.persistence_root(B, th, alpha)
-                  if r is not None]
-            for t, g in zip(ts, M.frozen_product(B, th, alpha)(ts)):
-                try:
-                    Q = M.deform(B, th, alpha, t)
-                except DegenerateDeformation:
-                    continue
-                breakpoints += 1
-                ref = float(M.volume_product(Q).product)
-                tol = 1e-12 * max(1.0, kappa(Q) + kappa(M.polar(Q)))
-                assert abs(g - ref) <= tol * ref
+            breakpoints += at_breakpoints(B, th, alpha)
+        # These polars are simple, so a random direction leaves them only
+        # trivial speeds, whose roots flatten the body or are drift bounds of
+        # rounding noise.  An edge direction is parallel to two facet pairs
+        # and can carry a non-trivial speed with genuine breakpoints.
+        Q = M.polar(P)
+        edges = [M.direction(tuple(a - b for a, b in zip(Q.vertices[j],
+                                                          Q.vertices[i])))
+                 for i, j in Q.lattice.edges]
+        for space in M.admissible_spaces(Q, edges, skip=ParallelismAmbiguity):
+            alpha = space and M.nontrivial_speed(space)
+            if alpha is not None:
+                breakpoints += at_breakpoints(Q, space.theta, alpha)
+                break
     assert breakpoints >= 20
 
 

@@ -80,6 +80,12 @@ def commands():
             ("optimize-cuboctahedron-rational",
              ["--input", "bodies/cuboctahedron.json", "--kernel", "rational",
               "--seed", "5"]),
+            ("optimize-dyadic4-rational",
+             ["--input", "bodies/dyadic4.json", "--kernel", "rational",
+              "--seed", "1"]),
+            ("optimize-dyadic5-rational",
+             ["--input", "bodies/dyadic5.json", "--kernel", "rational",
+              "--seed", "1"]),
             ("optimize-random5-double", ["--pairs", "5", "--seed", "7"]),
             ("optimize-dyadic4-double",
              ["--input", "bodies/dyadic4.json", "--seed", "1"])):
