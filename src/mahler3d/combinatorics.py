@@ -225,7 +225,7 @@ def classify_minimizer_candidate(P):
         return MinimizerClassification(EXCLUDED, evidence)
     for e, (i, j) in enumerate(lat.edges):
         f1, f2 = lat.phi2[e]
-        if lat.m(f1) == 4 and lat.m(f2) == 4 and lat.opposite_facet[f1] != f2:
+        if lat.m(f1) == 4 and lat.m(f2) == 4:
             d = sub(P.vertices[j], P.vertices[i])
             rep = dimension_bound(P, SH.direction(d))
             if rep.bound <= 3:

@@ -135,8 +135,11 @@ class FaceLattice:
         """For each vertex, its incident facets in cyclic order around it.
 
         This is the facet-cycle data of the order-reversed (polar) lattice.
-        Rings are walked for the representatives 0..V/2-1 only: the ring of
-        v + V/2 is the antipodal image of v's, traversed backwards.
+        From facet f the walk crosses the edge that leaves v in f's
+        (counterclockwise, outward) cycle, so every ring turns clockwise
+        seen from outside along v.  Rings are walked for the representatives
+        0..V/2-1 only: the ring of v + V/2 is the antipodal image of v's,
+        traversed backwards.
         """
         if self._vertex_facet_cycles is not None:
             return self._vertex_facet_cycles

@@ -122,8 +122,7 @@ def _candidate_directions(P, Q, cfg, rng):
                 pass
         for e, (i, j) in enumerate(lat.edges):
             f1, f2 = lat.phi2[e]
-            if lat.m(f1) == 4 and lat.m(f2) == 4 \
-                    and lat.opposite_facet[f1] != f2:
+            if lat.m(f1) == 4 and lat.m(f2) == 4:
                 try:
                     dirs.append(SH.direction(sub(B.vertices[j], B.vertices[i])))
                 except InputError:

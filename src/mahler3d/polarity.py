@@ -20,9 +20,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import geometry as G
-from .errors import DualityViolation, NumericalDegeneracy
-from .hull import (Facet, _canonical_cycle, _newell_normal, dot, facet_layout,
-                   neg)
+from .errors import DualityViolation
+from .hull import Facet, _canonical_cycle, dot, facet_layout, neg
 
 MAHLER_BOUND = Fraction(32, 3)
 
@@ -42,8 +41,10 @@ def polar(P):
 
     Vertex f is n_f/h_f for facet f of ``P``, so the facet layout of ``P``
     is the vertex layout of the polar.  The facet cycle attached to each
-    original vertex v is v's facet ring, oriented outward along v, and is
-    computed for the representatives only: the cycle of v + k is the
+    original vertex v is v's facet ring reversed: ``vertex_facet_cycles``
+    walks every ring clockwise seen from outside along v, so the reversed
+    ring turns counterclockwise about the polar facet's outward normal v.
+    It is computed for the representatives only: the cycle of v + k is the
     mirror of v's, reversed.  The facets are in the facet layout, and
     ``Q._primal_vertex_of_facet[j]`` is the vertex of ``P`` that facet j of
     the polar belongs to.
@@ -60,20 +61,14 @@ def polar(P):
     facets = []
     mirrors = []
     for v in range(k):
-        cyc = rings[v]
+        cyc = tuple(reversed(rings[v]))
         pv = P.vertices[v]
-        nw = _newell_normal(vertices, cyc)
-        side = dot(nw, pv)
-        if side == 0:
-            raise NumericalDegeneracy("degenerate polar facet", offending=list(cyc))
-        if side < 0:
-            cyc = tuple(reversed(cyc))
         if P.kernel == G.RATIONAL:
             normal, offset = pv, Fraction(1)
         else:
             L = float(dot(pv, pv)) ** 0.5
             normal, offset = (pv[0] / L, pv[1] / L, pv[2] / L), 1.0 / L
-        mirror = tuple([(a + K) % (2 * K) for a in reversed(cyc)])
+        mirror = tuple([(a + K) % (2 * K) for a in rings[v]])
         facets.append(Facet(_canonical_cycle(cyc), normal, offset))
         mirrors.append(Facet(_canonical_cycle(mirror), neg(normal), offset))
     facets += mirrors    # facets[v] belongs to vertex v of P

@@ -20,7 +20,6 @@ package.  ``admissible_spaces`` therefore solves each distinct set once per
 call and shares the basis among the directions that give it.
 """
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,7 +34,7 @@ from .hull import DIST_TOL_REL, _integer_points, _project_axis, cross, dot, sub
 
 PARALLEL_TOL = 1e-14      # |theta.n| at or below this counts as parallel (double)
 AMBIGUITY_TOL = 1e-10     # band (PARALLEL_TOL, AMBIGUITY_TOL] is refused
-TRIPLE_AREA_REL = 1e-12   # facet triple selection: area >= this x diameter^2
+TRIPLE_AREA_REL = 1e-12   # facet rows need corners 0-2 to span > this x diam^2
 DEFAULT_C_MAX = 1e6
 
 
@@ -167,80 +166,41 @@ def parallel_facets(P, theta, exempt=()):
     return _parallel_set(P, _facet_normals(P), direction(theta), exempt)
 
 
-def _facet_triple_and_bary(P, cycle):
-    """Deterministic affinely independent triple of facet corners plus the
-    barycentric coordinates of every remaining corner with respect to it.
+def _facet_rows(P, g):
+    """Reduced constraint rows (length V/2) of facet pair g: each corner
+    beyond the first three is pinned to their affine interpolation.
 
-    Works in the 2D projection that drops the dominant normal axis; the
-    triple is the first (in lexicographic cyclic-position order) whose area
-    clears TRIPLE_AREA_REL x diameter^2.
+    A facet cycle lists the strict corners of a convex polygon in order, so
+    corners 0, 1 and 2 are affinely independent.  The barycentric weights
+    are taken in the 2D projection that drops the dominant component of
+    cross(c1 - c0, c2 - c0).  On the double kernel, a facet whose corners
+    0, 1 and 2 span at most TRIPLE_AREA_REL x diameter^2 in that projection
+    raises NumericalDegeneracy.
     """
+    cycle = P.lattice.facet_cycles[g]
+    if len(cycle) == 3:
+        return []
     a3 = [P.vertices[i] for i in cycle]
-    m = len(cycle)
-    if m == 3:
-        triple = (0, 1, 2)
-        rest = ()
-    else:
-        nrm = cross(sub(a3[1], a3[0]), sub(a3[2], a3[0]))
-        if all(c == 0 for c in nrm):
-            nrm = cross(sub(a3[1], a3[0]), sub(a3[3], a3[0]))
-        keep = _project_axis(nrm)
-        p2 = [(v[keep[0]], v[keep[1]]) for v in a3]
-        if P.kernel == G.RATIONAL:
-            thresh = 0
-        else:
-            diam2 = 0.0
-            for i in range(m):
-                for j in range(i + 1, m):
-                    d = (p2[i][0] - p2[j][0], p2[i][1] - p2[j][1])
-                    diam2 = max(diam2, d[0] * d[0] + d[1] * d[1])
-            thresh = TRIPLE_AREA_REL * diam2
-        triple = None
-        for cand in itertools.combinations(range(m), 3):
-            a, b, c = (p2[k] for k in cand)
-            area2 = abs((b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]))
-            if area2 > thresh:
-                triple = cand
-                break
-        if triple is None:
+    keep = _project_axis(cross(sub(a3[1], a3[0]), sub(a3[2], a3[0])))
+    p2 = [(v[keep[0]], v[keep[1]]) for v in a3]
+    (ax, ay), (bx, by), (cx, cy) = p2[:3]
+    det = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    if P.kernel == G.DOUBLE:
+        diam2 = max((p[0] - q[0]) * (p[0] - q[0]) + (p[1] - q[1]) * (p[1] - q[1])
+                    for p in p2 for q in p2)
+        if abs(det) <= TRIPLE_AREA_REL * diam2:
             raise NumericalDegeneracy("no affinely independent facet triple",
                                       offending=list(cycle))
-        rest = tuple([k for k in range(m) if k not in triple])
-
-    if not rest:
-        return triple, {}
-
-    nrm = cross(sub(a3[triple[1]], a3[triple[0]]), sub(a3[triple[2]], a3[triple[0]]))
-    keep = _project_axis(nrm)
-    p2 = [(v[keep[0]], v[keep[1]]) for v in a3]
-    ax, ay = p2[triple[0]]
-    bx, by = p2[triple[1]]
-    cx, cy = p2[triple[2]]
-    det = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-    bary = {}
-    for k in rest:
-        px, py = p2[k]
+    k = P.n_pairs
+    zero = Fraction(0) if P.kernel == G.RATIONAL else 0.0
+    rows = []
+    for u, (px, py) in zip(cycle[3:], p2[3:]):
         l2 = ((px - ax) * (cy - ay) - (py - ay) * (cx - ax)) / det
         l3 = ((bx - ax) * (py - ay) - (by - ay) * (px - ax)) / det
         l1 = 1 - l2 - l3
-        bary[k] = (l1, l2, l3)
-    return triple, bary
-
-
-def _facet_rows(P, g):
-    """Reduced constraint rows (length V/2) of facet pair g: each corner
-    beyond an affinely independent triple is pinned to the triple's affine
-    interpolation."""
-    k = P.n_pairs
-    zero = Fraction(0) if P.kernel == G.RATIONAL else 0.0
-    cycle = P.lattice.facet_cycles[g]
-    triple, bary = _facet_triple_and_bary(P, cycle)
-    rows = []
-    for pos, lam in bary.items():
         row = [zero] * k
-        contrib = [(cycle[pos], 1)] + [
-            (cycle[triple[q]], -lam[q]) for q in range(3)]
-        for v, coef in contrib:
+        for v, coef in ((u, 1), (cycle[0], -l1), (cycle[1], -l2),
+                        (cycle[2], -l3)):
             if v < k:
                 row[v] = row[v] + coef
             else:
@@ -358,9 +318,11 @@ def admissible_spaces(P, thetas, skip=()):
     w = e1, e2, e3.
 
     Facets parallel to theta contribute no rows; every other facet, one per
-    antipodal pair, pins its corners beyond an affinely independent triple to
-    the affine interpolation through that triple.  Rational kernel: exact
-    nullspace by fraction-free elimination.  Double kernel: SVD nullspace.
+    antipodal pair, pins each corner beyond the first three of its cycle to
+    the affine interpolation through those three, which are affinely
+    independent because the cycle lists strict corners in order.  Rational
+    kernel: exact nullspace by fraction-free elimination.  Double kernel:
+    SVD nullspace.
 
     The space depends on theta only through ``parallel_facets``, so each
     distinct parallel set is solved once and its spaces share one basis.

@@ -351,3 +351,33 @@ def persistence_root_triangles(vertices, cycles, alpha, u, exact,
                 else:
                     hi = r if hi is None else min(hi, r)
     return lo, hi
+
+
+def facet_rows_cramer(vertices, cycle, n_pairs):
+    """The admissibility rows of one facet from linear coordinates.
+
+    The facet plane n.x = h misses the origin, so the first three corners
+    are a basis of R^3 and Cramer's rule gives every further corner p as
+    l1 c0 + l2 c1 + l3 c2; n.p = h forces l1 + l2 + l3 = 1, so these are
+    barycentric coordinates.  Each row holds +1 at p and -l at the three
+    corners, in reduced pair coordinates (vertex v + n_pairs is -v).
+    """
+    def det(a, b, c):
+        return (a[0] * (b[1] * c[2] - b[2] * c[1])
+                - a[1] * (b[0] * c[2] - b[2] * c[0])
+                + a[2] * (b[0] * c[1] - b[1] * c[0]))
+
+    c0, c1, c2 = (vertices[i] for i in cycle[:3])
+    d = det(c0, c1, c2)
+    rows = []
+    for u in cycle[3:]:
+        p = vertices[u]
+        lam = (det(p, c1, c2) / d, det(c0, p, c2) / d, det(c0, c1, p) / d)
+        row = [0] * n_pairs
+        for v, coef in zip((u, *cycle[:3]), (1, -lam[0], -lam[1], -lam[2])):
+            if v < n_pairs:
+                row[v] += coef
+            else:
+                row[v - n_pairs] -= coef
+        rows.append(row)
+    return rows

@@ -31,9 +31,15 @@ def test_command_set_covers_every_command():
     assert {argv[0] for _, argv in cmds} == {
         "analyze", "polar", "product", "classify", "speeds", "deform",
         "bound-sweep", "optimize", "corpus"}
+    names = {name for name, _ in cmds}
     for name, argv in cmds:
         written = [argv[i + 1] for i, a in enumerate(argv) if a in ("--out", "--csv")]
         assert all(Path(w).stem == name for w in written)
+        if argv[0] not in ("optimize", "corpus"):
+            # every per-body command also runs on the double kernel
+            double = name.endswith("-double")
+            assert ("--kernel" in argv) == double
+            assert double or f"{name}-double" in names
 
 
 def test_fake_pair_lists_the_differing_files(tmp_path):

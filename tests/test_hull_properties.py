@@ -6,7 +6,9 @@ coplanarities and non-extreme points likely.  Every hull must pair its
 facets exactly and agree with an independent oracle: the ``Fraction``
 triple enumeration on the rational kernel, Qhull on the double kernel.
 Counterexamples that Hypothesis shrinks are kept as JSON fixtures under
-``tests/fixtures/`` and replayed here first.
+``tests/fixtures/`` and replayed here first.  The same bodies and their
+polars must also orient every facet cycle outward, as
+``shadow._facet_rows`` and ``polarity.polar`` assume without checking.
 """
 import json
 from fractions import Fraction
@@ -17,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from mahler3d import hull
+from mahler3d import geometry as G, hull, polarity
 
 import oracles
 from test_hull import assert_antipodal_pairs
@@ -118,3 +120,37 @@ def test_double_hull_pairs_and_matches_qhull(body):
     points = _layout(_representatives(*body), False)
     assume(_usable(points))
     check_double(points)
+
+
+def check_orientation(P):
+    """Every facet of ``P`` and of its polar turns strictly outward at its
+    first three corners, cross(c1 - c0, c2 - c0).n > 0, and every polar
+    facet's Newell normal points along its plane normal (exactly parallel
+    on the rational kernel)."""
+    Q = polarity.polar(P)
+    for B in (P, Q):
+        for cyc, (n, _) in zip(B.lattice.facet_cycles, B.lattice.facet_planes):
+            c0, c1, c2 = (B.vertices[i] for i in cyc[:3])
+            assert hull.dot(hull.cross(hull.sub(c1, c0), hull.sub(c2, c0)), n) > 0
+    for cyc, (n, _) in zip(Q.lattice.facet_cycles, Q.lattice.facet_planes):
+        newell = hull._newell_normal(Q.vertices, cyc)
+        assert hull.dot(newell, n) > 0
+        if Q.kernel == G.RATIONAL:
+            assert hull.cross(newell, n) == (0, 0, 0)
+
+
+@settings(PROPERTY, max_examples=100)
+@given(bodies())
+def test_rational_facets_and_polar_facets_turn_outward(body):
+    reps = [tuple(Fraction(c) for c in p) for p in _representatives(*body)]
+    assume(_usable(_layout(reps, True)))
+    check_orientation(G.from_representatives(reps, G.RATIONAL))
+
+
+@DOUBLE_EXAMPLES
+@given(bodies())
+def test_double_facets_and_polar_facets_turn_outward(body):
+    reps = _representatives(*body)
+    assume(_usable(_layout(reps, False)))
+    check_orientation(G.from_representatives(
+        [tuple(float(c) for c in p) for p in reps], G.DOUBLE))

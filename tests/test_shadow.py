@@ -39,6 +39,29 @@ def test_trivial_speeds_always_admissible(cube_r, cubocta_d):
             assert M.is_trivial(S, tv)
 
 
+def test_facet_rows_match_cramer_coordinates(cube_r, octa_r, cubocta_r,
+                                             hex_prism_r, corpus50):
+    named = [cube_r, octa_r, cubocta_r, hex_prism_r]
+    bodies = named + [M.snap_to_rational(P) for P in corpus50] \
+        + [M.to_double(P) for P in named] + corpus50
+    rows = {M.RATIONAL: 0, M.DOUBLE: 0}
+    for P in bodies + [M.polar(P) for P in bodies]:
+        lat = P.lattice
+        for g in range(lat.F // 2):
+            got = M.shadow._facet_rows(P, g)
+            want = oracles.facet_rows_cramer(P.vertices, lat.facet_cycles[g],
+                                             P.n_pairs)
+            assert len(got) == len(want) == lat.m(g) - 3
+            if P.kernel == M.RATIONAL:
+                assert got == want
+            else:
+                for a, b in zip(got, want):
+                    err = np.abs(np.subtract(a, b)).max()
+                    assert err <= 1e-12 * np.abs(b).max()
+            rows[P.kernel] += len(got)
+    assert min(rows.values()) > 100
+
+
 def test_admissible_dims_fixtures(cube_r, cube_d, octa_r, cubocta_r,
                                   cubocta_d):
     cases = [

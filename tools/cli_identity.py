@@ -5,7 +5,8 @@
 Runs one fixed set of ``python -m mahler3d`` commands with the package of
 each checkout (``<checkout>/src``): ``analyze``, ``polar``, ``product``,
 ``classify``, ``speeds``, ``deform`` and ``bound-sweep`` on named bodies
-on the rational kernel, then ``optimize`` on both kernels and ``corpus``.
+on the rational kernel and again with ``--kernel double`` (names ending in
+``-double``), then ``optimize`` on both kernels and ``corpus``.
 Each side runs in its own work directory from the same relative paths, so
 the manifests, which record the paths, match.  Every command leaves its
 output file, stdout, stderr and exit code under ``out/``; the script lists
@@ -61,21 +62,25 @@ def commands():
     cmds = []
     for body in BODIES:
         path = f"bodies/{body}.json"
-        for cmd in ("analyze", "polar", "product", "classify"):
-            name = f"{cmd}-{body}"
-            cmds.append((name, [cmd, path, "--out", f"out/{name}.json"]))
-        for i, theta in enumerate(THETAS):
-            name = f"speeds-{body}-theta{i}"
-            cmds.append((name, ["speeds", path, "--theta", theta,
-                                "--out", f"out/{name}.json"]))
-            for width in ("certified", "eighth"):
-                name = f"deform-{body}-theta{i}-{width}"
-                extra = ["--t-max", "1/8"] if width == "eighth" else []
-                cmds.append((name, ["deform", path, "--theta", theta, *extra,
-                                    "--csv", f"out/{name}.csv"]))
-        name = f"bound-sweep-{body}"
-        cmds.append((name, ["bound-sweep", path, "--dirs", "16", "--seed", "3",
-                            "--csv", f"out/{name}.csv"]))
+        for suffix, kernel in (("", []), ("-double", ["--kernel", "double"])):
+            for cmd in ("analyze", "polar", "product", "classify"):
+                name = f"{cmd}-{body}{suffix}"
+                cmds.append((name, [cmd, path, *kernel,
+                                    "--out", f"out/{name}.json"]))
+            for i, theta in enumerate(THETAS):
+                name = f"speeds-{body}-theta{i}{suffix}"
+                cmds.append((name, ["speeds", path, "--theta", theta, *kernel,
+                                    "--out", f"out/{name}.json"]))
+                for width in ("certified", "eighth"):
+                    name = f"deform-{body}-theta{i}-{width}{suffix}"
+                    extra = ["--t-max", "1/8"] if width == "eighth" else []
+                    cmds.append((name, ["deform", path, "--theta", theta,
+                                        *extra, *kernel,
+                                        "--csv", f"out/{name}.csv"]))
+            name = f"bound-sweep-{body}{suffix}"
+            cmds.append((name, ["bound-sweep", path, "--dirs", "16",
+                                "--seed", "3", *kernel,
+                                "--csv", f"out/{name}.csv"]))
     for name, extra in (
             ("optimize-cuboctahedron-rational",
              ["--input", "bodies/cuboctahedron.json", "--kernel", "rational",
