@@ -101,10 +101,11 @@ def _parse_theta(text, kernel):
     if len(parts) != 3:
         raise InputError("--theta expects three comma-separated components")
     try:
-        exact = tuple([Fraction(p) for p in parts])
-    except (ValueError, ZeroDivisionError) as e:
+        vec = tuple([Fraction(p) for p in parts])
+        if kernel == G.DOUBLE:
+            vec = tuple([float(x) for x in vec])
+    except (ValueError, ZeroDivisionError, OverflowError) as e:
         raise InputError(f"bad theta component: {e}")
-    vec = exact if kernel == G.RATIONAL else tuple([float(x) for x in exact])
     return SH.direction(vec)
 
 

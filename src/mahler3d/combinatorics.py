@@ -54,35 +54,44 @@ def dimension_bounds(P, thetas, skip=()):
 
     Raises BoundViolation if dim A < (F - V)/2 + 2 + C_theta, which can only
     come from a kernel bug.  When the bound exceeds 3 the report carries a
-    basis vector certified non-trivial.  Everything here depends on theta
-    only through its parallel facet set, so the directions that share a set
-    share its witness, found once.  A direction that ``SH.admissible_spaces``
-    skips for an error type in ``skip`` gets None in place of its report.
+    basis vector certified non-trivial: the first one that ``SH.is_trivial``
+    rejects.  The census, the bound and the witness depend on theta only
+    through its parallel facet set, so each is computed once per set, and
+    the witness searches of one call share one QR of the trivial basis that
+    all of its spaces have in common.  A direction that
+    ``SH.admissible_spaces`` skips for an error type in ``skip`` gets None
+    in place of its report.
     """
     lat = P.lattice
-    witnesses = {}
+    per_set = {}   # parallel set -> (census, bound, witness)
+    frame = None
     reports = []
     for space in SH.admissible_spaces(P, thetas, skip):
         if space is None:
             reports.append(None)
             continue
-        ct = _census(lat, space.parallel)
-        bound = Fraction(lat.F - lat.V, 2) + 2 + ct
-        if space.dim < bound:
-            raise BoundViolation(
-                f"admissible dimension {space.dim} below bound {bound} "
-                f"at theta = {space.theta.theta}")
-        certified = bound > 3
-        if certified and space.parallel not in witnesses:
-            witnesses[space.parallel] = next(
-                (b for b in space.basis if not SH.is_trivial(space, b)), None)
-            if witnesses[space.parallel] is None:
-                raise InternalInconsistency(
-                    "bound > 3 but every basis vector tested trivial")
+        if space.parallel not in per_set:
+            ct = _census(lat, space.parallel)
+            bound = Fraction(lat.F - lat.V, 2) + 2 + ct
+            if space.dim < bound:
+                raise BoundViolation(
+                    f"admissible dimension {space.dim} below bound {bound} "
+                    f"at theta = {space.theta.theta}")
+            witness = None
+            if bound > 3:
+                if frame is None:
+                    frame = SH._trivial_frame(space)
+                witness = next((b for b in space.basis if not SH._in_frame(
+                    frame, b.as_array()[:P.n_pairs])), None)
+                if witness is None:
+                    raise InternalInconsistency(
+                        "bound > 3 but every basis vector tested trivial")
+            per_set[space.parallel] = ct, bound, witness
+        ct, bound, witness = per_set[space.parallel]
         reports.append(DimensionReport(
             theta=space.theta, c_theta=ct, bound=bound, dim_actual=space.dim,
-            nontrivial_certified=certified, space=space,
-            witness_speed=witnesses.get(space.parallel)))
+            nontrivial_certified=bound > 3, space=space,
+            witness_speed=witness))
     return reports
 
 

@@ -337,12 +337,9 @@ def corpus_verify(count, n_pairs_max=6, seed=2024, dirs_per_body=4,
                 f"volume product {prod!r} below 32/3 - 1e-9",
                 dump=P.to_json_dict())
         products.append(prod)
-        dirs = []
-        for _ in range(dirs_per_body):
-            v = rng.normal(size=3)
-            L = float(np.linalg.norm(v))
-            if L >= 1e-9:
-                dirs.append(SH.direction(tuple([float(x) for x in v])))
+        dirs = [SH.direction(v.tolist())
+                for v in rng.normal(size=(dirs_per_body, 3))
+                if float(np.linalg.norm(v)) >= 1e-9]
         reports = CB.dimension_bounds(P, dirs, skip=ParallelismAmbiguity)
         checked_dirs += sum(rep is not None for rep in reports)
         if P.V == 6:

@@ -20,7 +20,7 @@ package.  ``admissible_spaces`` therefore solves each distinct set once per
 call and shares the basis among the directions that give it.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -38,35 +38,94 @@ TRIPLE_AREA_REL = 1e-12   # facet rows need corners 0-2 to span > this x diam^2
 DEFAULT_C_MAX = 1e6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Direction:
-    """A unit direction, optionally carrying an exact rational vector along
-    the same ray so parallelism tests can be decided without rounding."""
+    """A unit direction ``theta`` with an exact rational ``carrier`` along
+    the same ray, so parallelism tests can be decided without rounding.
+
+    ``ray`` is (N0, N1, N2, D, L): the input vector, up to a power of two,
+    is (N0, N1, N2) / D in Python integers, and L is the float length that
+    ``theta`` was divided by.  The carrier (N0, N1, N2) / (D L), near unit
+    length, is built the first time it is read; only the rational kernel,
+    ``deform``, ``_affine_planes`` and the classification evidence read it.
+    Directions are equal, and hash alike, when theta and carrier are.
+    """
     theta: tuple
-    carrier: tuple
+    ray: tuple = field(repr=False)
+    _carrier: tuple = field(default=None, init=False, repr=False)
+
+    @property
+    def carrier(self):
+        if self._carrier is None:
+            object.__setattr__(self, "_carrier", _exact_carrier(self.ray))
+        return self._carrier
+
+    def __eq__(self, other):
+        if not isinstance(other, Direction):
+            return NotImplemented
+        return self.theta == other.theta and self.carrier == other.carrier
+
+    def __hash__(self):
+        return hash((self.theta, self.carrier))
+
+
+def _exact_carrier(ray):
+    N0, N1, N2, D, L = ray
+    num, den = L.as_integer_ratio()
+    return tuple([Fraction(n * den, D * num) for n in (N0, N1, N2)])
+
+
+def _ratio(x):
+    """A direction component as an exact (numerator, denominator) pair;
+    a float that is not finite raises ValueError or OverflowError."""
+    if isinstance(x, float):
+        return x.as_integer_ratio()
+    if isinstance(x, int):
+        return x, 1
+    x = G._as_coord(x, G.RATIONAL)
+    return x.numerator, x.denominator
 
 
 def direction(vec):
     """Build a Direction from any numeric triple.
 
-    The input components are taken as mathematically exact (floats are exact
-    binary rationals), giving an exact carrier; ``theta`` is the float unit
-    vector, and the carrier is rescaled to near-unit length so rational-mode
-    and double-mode deformations share one parametrization scale.
+    The components are read as exact rationals (a float is an exact binary
+    rational) and put over one integer denominator, so the squared length is
+    an exact integer ratio.  L is that ratio divided as Python integers
+    (correctly rounded) and square-rooted, and ``theta`` is each component,
+    rounded to a float, divided by L; the carrier is the exact vector over
+    Fraction(L), so rational-mode and double-mode deformations share one
+    parametrization scale.  A squared length beyond about 2^-1020 or
+    2^1020, whose float could underflow or overflow, is first brought near
+    1 by an exact power of two, so every finite non-zero vector normalises.
+    Non-finite, non-numeric or all-zero components raise InputError.
     """
     if isinstance(vec, Direction):
         return vec
-    c = tuple([G._as_coord(x, G.RATIONAL) for x in vec])
-    if len(c) != 3 or all(x == 0 for x in c):
+    try:
+        c = [_ratio(x) for x in vec]
+    except (ValueError, OverflowError, ZeroDivisionError) as e:
+        raise InputError(f"invalid direction component in {vec!r}: {e}")
+    if len(c) != 3:
         raise InputError(f"invalid direction {vec!r}")
-    L = float(dot(c, c)) ** 0.5
-    theta = (float(c[0]) / L, float(c[1]) / L, float(c[2]) / L)
-    nrm = sum(t * t for t in theta) ** 0.5
-    if abs(nrm - 1.0) > 1e-12:
+    (n0, d0), (n1, d1), (n2, d2) = c
+    D = d0 * d1 * d2
+    N0, N1, N2 = n0 * (d1 * d2), n1 * (d0 * d2), n2 * (d0 * d1)
+    S, Q = N0 * N0 + N1 * N1 + N2 * N2, D * D
+    if S == 0:
+        raise InputError(f"invalid direction {vec!r}")
+    e = S.bit_length() - Q.bit_length()     # 2^(e-1) < S/Q < 2^(e+1)
+    if not -1020 <= e <= 1020:
+        k = -(e // 2)
+        if k > 0:
+            N0, N1, N2, S = N0 << k, N1 << k, N2 << k, S << 2 * k
+        else:
+            D, Q = D << -k, Q << -2 * k
+    L = (S / Q) ** 0.5
+    t0, t1, t2 = theta = (N0 / D / L, N1 / D / L, N2 / D / L)
+    if abs((t0 * t0 + t1 * t1 + t2 * t2) ** 0.5 - 1.0) > 1e-12:
         raise InputError("direction could not be normalized")
-    rL = Fraction(L)
-    carrier = (c[0] / rL, c[1] / rL, c[2] / rL)
-    return Direction(theta=theta, carrier=carrier)
+    return Direction(theta=theta, ray=(N0, N1, N2, D, L))
 
 
 @dataclass(frozen=True)
@@ -134,23 +193,40 @@ def _facet_normals(P):
     return np.array([_unit_normal(n) for n, _ in planes]).T
 
 
-def _parallel_set(P, N, theta, exempt=()):
-    """``parallel_facets`` on the facet normals ``N`` of ``_facet_normals``."""
+def _parallel_sets(P, N, thetas, skip=(), exempt=()):
+    """``parallel_facets`` of every direction of ``thetas`` on the facet
+    normals ``N`` of ``_facet_normals``, decided in one (F/2, D) array.  A
+    direction whose ParallelismAmbiguity is an instance of ``skip`` gets
+    None; otherwise the first one raises."""
     exact = P.kernel == G.RATIONAL
-    t = theta.carrier if exact else theta.theta
+    T = np.array([th.carrier if exact else th.theta for th in thetas],
+                 dtype=object if exact else float).reshape(-1, 3).T
     # elementwise, in the order of hull.dot, so every decision is the one a
     # scalar theta.n would give
-    d = abs(N[0] * t[0] + N[1] * t[1] + N[2] * t[2])
-    tested = np.ones(len(d), dtype=bool)
-    tested[list(exempt)] = False
+    d = abs(N[0][:, None] * T[0] + N[1][:, None] * T[1]
+            + N[2][:, None] * T[2])
     if exact:
-        return frozenset(np.flatnonzero(tested & (d == 0)).tolist())
-    band = tested & (d > PARALLEL_TOL) & (d <= AMBIGUITY_TOL)
-    if band.any():
-        raise ParallelismAmbiguity(
-            f"|theta.n| = {float(d[band][0]):.3e} inside the undecidable band "
-            f"({PARALLEL_TOL:g}, {AMBIGUITY_TOL:g}]")
-    return frozenset(np.flatnonzero(tested & (d <= PARALLEL_TOL)).tolist())
+        par, band = d == 0, np.zeros(d.shape, dtype=bool)
+    else:
+        par = d <= PARALLEL_TOL
+        band = (d > PARALLEL_TOL) & (d <= AMBIGUITY_TOL)
+    untested = list(exempt)
+    par[untested] = band[untested] = False
+    hits = [[] for _ in thetas]
+    for j, g in np.argwhere(par.T).tolist():
+        hits[j].append(g)
+    sets = []
+    for j, ambiguous in enumerate(band.any(axis=0).tolist()):
+        if not ambiguous:
+            sets.append(frozenset(hits[j]))
+            continue
+        err = ParallelismAmbiguity(
+            f"|theta.n| = {float(d[band[:, j], j][0]):.3e} inside the "
+            f"undecidable band ({PARALLEL_TOL:g}, {AMBIGUITY_TOL:g}]")
+        if not isinstance(err, skip):
+            raise err
+        sets.append(None)
+    return sets
 
 
 def parallel_facets(P, theta, exempt=()):
@@ -161,9 +237,11 @@ def parallel_facets(P, theta, exempt=()):
     Rational kernel: exact, through the rational carrier of theta.  Double
     kernel: |theta.n_g| <= PARALLEL_TOL against the unit normals, and
     ParallelismAmbiguity when a tested pair falls in the band
-    (PARALLEL_TOL, AMBIGUITY_TOL].
+    (PARALLEL_TOL, AMBIGUITY_TOL].  This is the one-direction case of
+    ``_parallel_sets``.
     """
-    return _parallel_set(P, _facet_normals(P), direction(theta), exempt)
+    return _parallel_sets(P, _facet_normals(P), [direction(theta)],
+                          exempt=exempt)[0]
 
 
 def _facet_rows(P, g):
@@ -326,17 +404,14 @@ def admissible_spaces(P, thetas, skip=()):
 
     The space depends on theta only through ``parallel_facets``, so each
     distinct parallel set is solved once and its spaces share one basis.
-    A direction whose parallel set or constraint rows raise an error of a
-    type in ``skip`` gets None in place of its space.
+    The sets of all directions are decided together by ``_parallel_sets``,
+    one array expression with the elementwise order of a single test.  A
+    direction whose parallel set or constraint rows raise an error of a
+    type in ``skip`` gets None in place of its space; an ambiguous
+    direction whose error is not skipped raises, in direction order.
     """
     thetas = [direction(th) for th in thetas]
-    N = _facet_normals(P)
-    sets = []
-    for th in thetas:
-        try:
-            sets.append(_parallel_set(P, N, th))
-        except skip:
-            sets.append(None)
+    sets = _parallel_sets(P, _facet_normals(P), thetas, skip)
     trivial = tuple([trivial_speed(P, w)
                      for w in ((1, 0, 0), (0, 1, 0), (0, 0, 1))])
     facet_rows = {}
@@ -370,14 +445,28 @@ def admissibility_residual(P, theta, alpha):
                           P.kernel == G.RATIONAL)
 
 
+def _trivial_frame(S):
+    """An orthonormal basis, by float QR, of the trivial span of ``S`` in
+    reduced pair coordinates: a (V/2, 3) array."""
+    k = S.base.n_pairs
+    T = np.stack([tv.as_array()[:k] for tv in S.trivial_basis], axis=1)
+    return np.linalg.qr(T)[0]
+
+
+def _in_frame(frame, b, tol=1e-9):
+    """Whether the float vector ``b`` lies in the span of the orthonormal
+    columns of ``frame``, up to a residual <= tol x ||b||."""
+    r = b - frame @ (frame.T @ b)
+    return float(np.linalg.norm(r)) <= tol * float(np.linalg.norm(b))
+
+
 def _off_trivial(S, speeds, exact):
     """Each speed minus its projection onto the trivial span of ``S``, as a
     list in reduced pair coordinates: exact Gram-Schmidt over Fractions with
     ``exact``, float QR otherwise."""
     k = S.base.n_pairs
     if not exact:
-        T = np.stack([tv.as_array()[:k] for tv in S.trivial_basis], axis=1)
-        Qo, _ = np.linalg.qr(T)
+        Qo = _trivial_frame(S)
         return [(b - Qo @ (Qo.T @ b)).tolist()
                 for b in (sv.as_array()[:k] for sv in speeds)]
     ortho = []
@@ -400,9 +489,7 @@ def is_trivial(S, alpha, tol=1e-9):
     """Whether ``alpha`` lies in the span of the globally affine speeds, up
     to a float residual <= tol x ||alpha||."""
     alpha = speed_vector(S.base, alpha)
-    r = _off_trivial(S, [alpha], False)[0]
-    na = float(np.linalg.norm(alpha.as_array()[:S.base.n_pairs]))
-    return float(np.linalg.norm(r)) <= tol * na
+    return _in_frame(_trivial_frame(S), alpha.as_array()[:S.base.n_pairs], tol)
 
 
 def nontrivial_component(S, alpha):

@@ -3,6 +3,7 @@ geometry.  Everything here goes through scipy's qhull bindings, dense linear
 algebra, plain ``Fraction`` arithmetic or the scalar loops that mahler3d's
 vectorised code replaced, never through mahler3d itself."""
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -381,3 +382,37 @@ def facet_rows_cramer(vertices, cycle, n_pairs):
                 row[v - n_pairs] -= coef
         rows.append(row)
     return rows
+
+
+@dataclass(frozen=True)
+class FractionDirection:
+    theta: tuple
+    carrier: tuple
+
+
+def direction_fractions(vec):
+    """A direction built in Fractions: every component read as an exact
+    Fraction c_i, L = float(c.c) ** 0.5, theta = float(c_i) / L and the
+    carrier c / Fraction(L).  Equality and hash go over (theta, carrier).
+    It divides by zero or overflows when float(c.c) does."""
+    c = tuple([Fraction(x) for x in vec])
+    L = float(c[0] * c[0] + c[1] * c[1] + c[2] * c[2]) ** 0.5
+    rL = Fraction(L)
+    return FractionDirection(theta=tuple([float(x) / L for x in c]),
+                             carrier=tuple([x / rL for x in c]))
+
+
+def first_nontrivial_index(basis, trivial, n_pairs, tol=1e-9):
+    """Index of the first speed of ``basis`` off the span of the speeds
+    ``trivial`` (sequences of numbers over all vertices), or None: each
+    vector is tested on its own, with a fresh float QR of the trivial
+    speeds, residual <= tol x ||b|| counting as trivial."""
+    for i, alpha in enumerate(basis):
+        T = np.stack([np.array([float(a) for a in tv[:n_pairs]])
+                      for tv in trivial], axis=1)
+        Qo, _ = np.linalg.qr(T)
+        b = np.array([float(a) for a in alpha[:n_pairs]])
+        r = (b - Qo @ (Qo.T @ b)).tolist()
+        if not float(np.linalg.norm(r)) <= tol * float(np.linalg.norm(b)):
+            return i
+    return None

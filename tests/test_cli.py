@@ -190,6 +190,30 @@ def test_exit_1_on_input_errors(capsys, tmp_path, cubocta_json):
     assert json.loads(err)["error"] == "DegenerateInput"
 
 
+def test_theta_at_extreme_scales(capsys, cube_json):
+    # a finite direction normalises at any scale; a component that is not
+    # finite, or overflows a float on the double kernel, is an InputError
+    for kernel in ("rational", "double"):
+        for theta, unit in (("1e-200,0,0", "1,0,0"),
+                            ("1e-170,1e-170,0", "1,1,0"),
+                            ("1e200,0,0", "1,0,0")):
+            outs = []
+            for th in (theta, unit):
+                rc, out, err = run_cli(capsys, "speeds", cube_json,
+                                       "--kernel", kernel, f"--theta={th}")
+                assert (rc, err) == (0, "")
+                outs.append({k: v for k, v in json.loads(out).items()
+                             if k != "manifest"})
+            assert outs[0] == outs[1]
+        bad = ["nan,0,0", "0,inf,0"] + (["1e400,0,0"] if kernel == "double"
+                                        else [])
+        for th in bad:
+            rc, out, err = run_cli(capsys, "speeds", cube_json,
+                                   "--kernel", kernel, f"--theta={th}")
+            assert rc in (1, 2) and out == ""
+            assert json.loads(err)["error"] == "InputError"
+
+
 def test_tol_identifies_points_on_each_kernel(capsys, tmp_path):
     # Two vertices 1e-4 apart: --tol 1e-3 merges them on the double kernel
     # and is a conflict on the rational one; the default keeps both.

@@ -158,9 +158,14 @@ def test_dimension_report_fields(cubocta_r):
 def test_dimension_bounds_equal_single_calls(cubocta_r, hex_prism_r,
                                              corpus50):
     rng = np.random.default_rng(11)
-    bodies = [cubocta_r, hex_prism_r, M.to_double(hex_prism_r)] \
-        + corpus50[:10] + [M.polar(P) for P in corpus50[:4]]
-    certified = 0
+    snapped = [M.snap_to_rational(P) for P in corpus50[:3]]
+    # on the polar of the cuboctahedron the first basis vector of each
+    # edge direction's space is trivial, so the witness is the second
+    bodies = [cubocta_r, M.polar(cubocta_r), hex_prism_r,
+              M.to_double(hex_prism_r)] \
+        + corpus50[:10] + [M.polar(P) for P in corpus50[:4]] \
+        + snapped + [M.polar(P) for P in snapped]
+    certified = {M.RATIONAL: 0, M.DOUBLE: 0}
     for P in bodies:
         lat = P.lattice
         thetas = [M.in_plane_direction(P, f) for f in range(lat.F // 2)
@@ -177,6 +182,13 @@ def test_dimension_bounds_equal_single_calls(cubocta_r, hex_prism_r,
                           "nontrivial_certified", "space", "witness_speed"):
                 assert getattr(rep, field) == getattr(one, field), field
             assert rep.c_theta == M.c_theta(P, rep.theta)
-            certified += rep.nontrivial_certified
-    assert certified > 0
+            # the witness is the one a QR per tested vector picks
+            S = rep.space
+            i = oracles.first_nontrivial_index(
+                [b.alpha for b in S.basis],
+                [tv.alpha for tv in S.trivial_basis], P.n_pairs)
+            expected = S.basis[i] if rep.nontrivial_certified else None
+            assert rep.witness_speed == expected
+            certified[P.kernel] += rep.nontrivial_certified
+    assert min(certified.values()) > 0
     assert M.dimension_bounds(cubocta_r, []) == []

@@ -166,6 +166,46 @@ def test_no_state_left_on_input_bodies(corpus50, cubocta_d):
     assert keys() == before
 
 
+def test_double_verification_and_descent_build_no_carrier(
+        monkeypatch, corpus50, cube_r, cubocta_r):
+    """The exact carrier of a direction is built the first time it is read.
+    Double-kernel verification and descent never read it; only the
+    classification does, which reasons on rational bodies."""
+    from mahler3d import combinatorics, shadow
+    builds, classifying = [], []
+    real_carrier = shadow._exact_carrier
+    real_classify = combinatorics.classify_minimizer_candidate
+
+    def carrier(ray):
+        builds.append(bool(classifying))
+        return real_carrier(ray)
+
+    def classify(P):
+        classifying.append(P)
+        try:
+            return real_classify(P)
+        finally:
+            classifying.pop()
+
+    monkeypatch.setattr(shadow, "_exact_carrier", carrier)
+    monkeypatch.setattr(combinatorics, "classify_minimizer_candidate",
+                        classify)
+    M.corpus_verify(len(corpus50), bodies=corpus50)
+    assert builds == []
+    for seed, P in enumerate(corpus50[:4]):
+        M.descend(P, M.DescentConfig(seed=seed, max_iters=2))
+    assert builds and all(builds)
+    # the classification evidence still reads the carrier
+    assert M.classify_minimizer_candidate(cube_r).evidence == {
+        "V": 8, "E": 12, "F": 6, "max_degree": 3, "facet_size_census": {4: 6}}
+    ev = M.classify_minimizer_candidate(cubocta_r).evidence
+    assert ev["witness_theta"] == (
+        Fraction(0), Fraction(-2251799813685248, 2373605415329393),
+        Fraction(2251799813685248, 7120816245988179))
+    assert ev["witness_speed"] == tuple(
+        Fraction(x) for x in (0, 1, 1, 0, 0, 0, 0, -1, -1, 0, 0, 0))
+
+
 def test_rational_descend_builds_no_double_hull(monkeypatch):
     # Moves are scored on the float coefficients of the exact body itself,
     # so no double proxy is hulled.

@@ -5,7 +5,8 @@ import pytest
 from scipy.spatial import ConvexHull
 
 import mahler3d as M
-from mahler3d.errors import (DegenerateDeformation, InputError, NoPersistence,
+from mahler3d.errors import (DegenerateDeformation, InputError,
+                             InternalInconsistency, NoPersistence,
                              NumericalDegeneracy, ParallelismAmbiguity)
 
 import oracles
@@ -19,6 +20,69 @@ def test_direction_normalizes_and_rejects_zero():
     assert np.linalg.norm(carrier) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(InputError):
         M.direction((0, 0, 0))
+
+
+def _direction_inputs(rng):
+    """Triples of floats with exponents -150..150, ints, Fractions and
+    decimal strings, with exact rescalings and re-typings of some of them
+    so that equal directions occur."""
+    def flt():
+        return float(rng.choice((-1.0, 1.0)) * rng.random()
+                     * 2.0 ** int(rng.integers(-150, 151)))
+    floats = [tuple(flt() for _ in range(3)) for _ in range(300)]
+    floats += [(flt(), 0.0, flt()), (0.0, -0.0, flt())]
+    ints = [tuple(int(x) for x in rng.integers(-10 ** 6, 10 ** 6, 3))
+            for _ in range(40)] + [(3, 0, 4), (0, 0, -7)]
+    fracs = [tuple(Fraction(int(n), int(d)) for n, d in zip(
+        rng.integers(-999, 1000, 3), rng.integers(1, 1000, 3)))
+        for _ in range(40)]
+    strs = [tuple(f"{int(m)}.{int(f):03d}e{int(e)}" for m, f, e in zip(
+        rng.integers(-9999, 10000, 3), rng.integers(0, 1000, 3),
+        rng.integers(-40, 41, 3))) for _ in range(40)]
+    same = [tuple(float(x) for x in v) for v in ints[:10]]
+    same += [tuple(str(x) for x in v) for v in ints[:10]]
+    same += [tuple(Fraction(x) for x in v) for v in floats[:10]]
+    same += [tuple(4 * x for x in v) for v in floats[:10] + ints[:10]]
+    same += [tuple(3 * x for x in v) for v in ints[:10]]
+    inputs = floats + ints + fracs + strs + same
+    return [v for v in inputs if any(Fraction(x) for x in v)]
+
+
+def test_direction_matches_the_fraction_oracle():
+    inputs = _direction_inputs(np.random.default_rng(17))
+    got = [M.direction(v) for v in inputs]
+    ref = [oracles.direction_fractions(v) for v in inputs]
+    for g, r in zip(got, ref):
+        assert [t.hex() for t in g.theta] == [t.hex() for t in r.theta]
+        assert g.carrier == r.carrier
+        assert hash(g) == hash(r)
+    equal = [(i, j) for i, g in enumerate(got) for j, h in enumerate(got)
+             if g == h]
+    assert equal == [(i, j) for i, g in enumerate(ref)
+                     for j, h in enumerate(ref) if g == h]
+    assert len(equal) >= len(got) + 40
+
+
+def test_direction_normalises_every_finite_vector():
+    for v in [(1e-200, 0, 0), (1e-170, 1e-170, 0), (1e200, 0.0, 0),
+              (1e-160, -1e-160, 0.0), (5e-324, 0.0, -5e-324),
+              (1.7e308, -1.7e308, 1.7e308), (Fraction(10 ** 400), 1, 0),
+              ("1e-500", "-1e-500", 0), (1e-300, 1.0, 1e300)]:
+        d = M.direction(v)
+        exact = [Fraction(x) for x in v]
+        ref = np.array([float(x / max(abs(y) for y in exact)) for x in exact])
+        assert np.allclose(d.theta, ref / np.linalg.norm(ref), rtol=1e-15,
+                           atol=1e-300)
+        # the carrier lies on the ray of v, near unit length
+        assert all(c * y == e * x for c, e in zip(d.carrier, exact)
+                   for x, y in zip(d.carrier, exact))
+        assert sum(c * e for c, e in zip(d.carrier, exact)) > 0
+        assert float(sum(c * c for c in d.carrier)) == pytest.approx(1.0)
+    for v in [(float("nan"), 0, 0), (0.0, float("inf"), 1.0),
+              (1.0, 0.0, -float("inf")), ("nan", 1, 0), ("1/0", 1, 0),
+              (0.0, -0.0, 0), ("0", 0, Fraction(0))]:
+        with pytest.raises(InputError):
+            M.direction(v)
 
 
 def test_speed_vector_enforces_oddness(cube_r):
@@ -433,6 +497,20 @@ def _structural_directions(P):
     return [M.direction(v) for v in vecs]
 
 
+def _band_direction(P):
+    """An in-plane direction of a facet pair of the double body ``P``,
+    tilted by 1e-12 along the pair's unit normal into the band where
+    parallelism is undecidable."""
+    lat = P.lattice
+    for g in range(lat.F // 2):
+        try:
+            w = np.array(M.in_plane_direction(P, g).theta)
+        except (InternalInconsistency, ParallelismAmbiguity):
+            continue
+        return M.direction(tuple(w + 1e-12 * np.array(lat.facet_planes[g][0])))
+    raise AssertionError("no in-plane direction on any facet pair")
+
+
 def _parallel_outcome(fn):
     try:
         return fn()
@@ -456,13 +534,27 @@ def test_parallel_facets_match_the_scalar_rule(cube_r, cubocta_r, hex_prism_r,
         dirs = _structural_directions(P) + [
             M.direction(tuple(float(x) for x in rng.normal(size=3)))
             for _ in range(4)]
+        if not exact:
+            dirs.insert(len(dirs) // 2, _band_direction(P))
+        refs = []
         for th in dirs:
             got = _parallel_outcome(lambda: M.parallel_facets(P, th))
             ref = _parallel_outcome(lambda: oracles.parallel_pairs(
                 normals, th.theta, th.carrier, exact))
             assert got == ref
+            refs.append(ref)
             if got != "ambiguous":
                 sizes.add(len(got))
+        # all directions at once: each ambiguous one raises, or reads None
+        # under skip, on its own
+        assert exact or "ambiguous" in refs
+        spaces = M.admissible_spaces(P, dirs, skip=ParallelismAmbiguity)
+        assert [S.parallel if S else "ambiguous" for S in spaces] == refs
+        if "ambiguous" in refs:
+            with pytest.raises(ParallelismAmbiguity):
+                M.admissible_spaces(P, dirs)
+        else:
+            assert M.admissible_spaces(P, dirs) == spaces
     # edge and in-plane directions are parallel to one, two or three pairs
     assert {0, 1, 2, 3} <= sizes
 
