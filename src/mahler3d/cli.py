@@ -96,15 +96,13 @@ def _load(args, kernel):
     return G.load_polytope(args.input, kernel=kernel, tol=args.tol)
 
 
-def _parse_theta(text, kernel):
+def _parse_theta(text):
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 3:
         raise InputError("--theta expects three comma-separated components")
     try:
         vec = tuple([Fraction(p) for p in parts])
-        if kernel == G.DOUBLE:
-            vec = tuple([float(x) for x in vec])
-    except (ValueError, ZeroDivisionError, OverflowError) as e:
+    except (ValueError, ZeroDivisionError) as e:
         raise InputError(f"bad theta component: {e}")
     return SH.direction(vec)
 
@@ -177,7 +175,7 @@ def _cmd_product(args):
 def _cmd_speeds(args):
     kernel = _kernel(args)
     P = _load(args, kernel)
-    theta = _parse_theta(args.theta, kernel)
+    theta = _parse_theta(args.theta)
     rep = CB.dimension_bound(P, theta)
     out = {
         "manifest": _manifest(args, kernel),
@@ -259,7 +257,7 @@ def _cmd_classify(args):
 def _cmd_deform(args):
     kernel = _kernel(args)
     P = _load(args, kernel)
-    theta = _parse_theta(args.theta, kernel)
+    theta = _parse_theta(args.theta)
     if args.speed:
         alpha = _parse_speed(args.speed, P)
     else:

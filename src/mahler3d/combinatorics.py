@@ -8,8 +8,12 @@ non-trivial speed exists, which is the engine behind every Excluded verdict:
 a candidate whose counts or facet shapes leave room for such a direction
 cannot minimize the volume product.
 
-Classification verdicts are combinatorial, so they always run on the exact
-kernel; double-kernel inputs are snapped to dyadic rationals first.
+Verdicts read the lattice; exact arithmetic only certifies the witness.
+``_decide`` reaches the verdict from the counts, degrees and facet sizes of
+the labeled lattice alone, and names the side and the rule for the witness
+direction; ``classify_minimizer_candidate`` then certifies that one witness
+on the exact kernel.  Double-kernel inputs are snapped to dyadic rationals
+first, so the lattice that is judged is the snapped one.
 """
 
 from dataclasses import dataclass
@@ -24,6 +28,7 @@ from .hull import sub
 PARALLELEPIPED = "Parallelepiped"
 AFFINE_OCTAHEDRON = "AffineOctahedron"
 EXCLUDED = "Excluded"
+_DIRECTION_TRIES = 100   # candidates scanned for a witness direction
 
 
 def _census(lat, parallel):
@@ -101,14 +106,15 @@ def dimension_bound(P, theta):
     return dimension_bounds(P, [theta])[0]
 
 
-def generic_direction(bodies, seed=0, tries=100):
+def generic_direction(bodies, seed=0):
     """A small-integer direction parallel to no facet of any given body.
 
-    Deterministic for a fixed seed; each rejected candidate is parallel to at
-    least one facet, which a random integer triple almost never is.
+    Deterministic for a fixed seed; each of the ``_DIRECTION_TRIES``
+    candidates is rejected only if parallel to a facet, which a random
+    integer triple almost never is.
     """
     rng = np.random.default_rng(seed)
-    for _ in range(tries):
+    for _ in range(_DIRECTION_TRIES):
         v = tuple([int(x) for x in rng.integers(-9, 10, 3)])
         if v == (0, 0, 0):
             continue
@@ -118,12 +124,13 @@ def generic_direction(bodies, seed=0, tries=100):
     raise InternalInconsistency("no generic direction found in budget")
 
 
-def in_plane_direction(B, facet, tries=100):
+def in_plane_direction(B, facet):
     """A direction in the plane of the given facet, parallel to no other
     facet of ``B`` (the antipodal facet is necessarily parallel and exempt).
 
-    Scans d_j = (v2 - v1) + j (v3 - v1); each other facet rules out at most
-    one j, so the scan succeeds whenever tries exceeds the facet count.
+    Scans d_j = (v2 - v1) + j (v3 - v1) for j < ``_DIRECTION_TRIES``; each
+    other facet rules out at most one j, so the scan succeeds on any body
+    with fewer facets than that.
     """
     lat = B.lattice
     cyc = lat.facet_cycles[facet]
@@ -131,7 +138,7 @@ def in_plane_direction(B, facet, tries=100):
     u = sub(v2, v1)
     w = sub(v3, v1)
     own = (facet % (lat.F // 2),)
-    for j in range(tries):
+    for j in range(_DIRECTION_TRIES):
         cand = tuple([u[c] + j * w[c] for c in range(3)])
         if all(x == 0 for x in cand):
             continue
@@ -149,14 +156,16 @@ class MinimizerClassification:
 
 
 def _witness_evidence(side, B, rep):
-    """Re-verify a certified witness and package it: the speed must satisfy
-    every admissibility row exactly and must sit outside the trivial span."""
+    """Re-verify a witness and package it: its bound must exceed 3, and its
+    speed must satisfy every admissibility row exactly and sit outside the
+    trivial span."""
+    if not rep.nontrivial_certified:
+        raise InternalInconsistency(f"witness direction gives bound {rep.bound} <= 3")
     residual = SH.admissibility_residual(B, rep.theta, rep.witness_speed)
     if residual != 0:
         raise InternalInconsistency(
             f"witness speed fails admissibility rows (residual {residual})")
-    if B.kernel == G.RATIONAL and not any(
-            SH._off_trivial(rep.space, [rep.witness_speed], exact=True)[0]):
+    if not any(SH._off_trivial(rep.space, [rep.witness_speed], exact=True)[0]):
         raise InternalInconsistency("witness speed is exactly trivial")
     return {
         "witness_side": side,
@@ -166,6 +175,66 @@ def _witness_evidence(side, B, rep):
         "witness_dim": rep.dim_actual,
         "witness_speed": tuple(rep.witness_speed.alpha),
     }
+
+
+def _adjacent_quad_edges(lat):
+    """The edges (i, j) of ``lat`` shared by two quadrilateral facets, in
+    label order."""
+    for (i, j), (f1, f2) in zip(lat.edges, lat.phi2):
+        if lat.m(f1) == 4 and lat.m(f2) == 4:
+            yield i, j
+
+
+def _decide(lat):
+    """The verdict on a labeled lattice, from its counts, vertex degrees and
+    facet sizes alone, as (verdict, notes, side, pick).  ``notes`` are the
+    evidence entries that explain an Excluded verdict, "reason" first.  When
+    a direction whose dimension bound exceeds 3 certifies the exclusion,
+    ``pick`` maps the body on ``side`` ("primal" or "polar") to it; else both
+    are None.  Counts that contradict Euler's relation raise
+    InternalInconsistency."""
+    def in_first_facet_with(m):   # the in-plane direction of a large facet
+        return lambda B: in_plane_direction(
+            B, next(k for k in B.lattice.I2 if B.lattice.m(k) >= m))
+
+    V, F = lat.V, lat.F
+    census = lat.facet_size_census()
+    if abs(V - F) > 2:
+        return (EXCLUDED, {"reason": "|V - F| > 2"}, "primal" if F > V else "polar",
+                lambda B: generic_direction([B]))
+    if V == F + 2:
+        if max(lat.d(v) for v in lat.I0) > 3:
+            return (EXCLUDED, {"reason": "vertex of degree > 3 in the V = F + 2 case"},
+                    "polar", in_first_facet_with(4))
+        if (V, F) != (8, 6):
+            raise InternalInconsistency(
+                f"all degrees 3 with V = F + 2 forces (V,F) = (8,6), got {(V, F)}")
+        return PARALLELEPIPED, {}, None, None
+    if F == V + 2:
+        if max(census) > 3:
+            return (EXCLUDED,
+                    {"reason": "facet with more than 3 vertices in the F = V + 2 case"},
+                    "primal", in_first_facet_with(4))
+        if (V, F) != (6, 8):
+            raise InternalInconsistency(
+                f"all triangles with F = V + 2 forces (V,F) = (6,8), got {(V, F)}")
+        return AFFINE_OCTAHEDRON, {}, None, None
+    # V == F
+    if max(census) >= 5:
+        return (EXCLUDED, {"reason": "facet with 5 or more vertices in the V = F case"},
+                "primal", in_first_facet_with(5))
+    for i, j in _adjacent_quad_edges(lat):
+        return (EXCLUDED,
+                {"reason": "edge-adjacent quadrilateral facets in the V = F case",
+                 "adjacent_quad_edge": (i, j)},
+                "primal", lambda B: SH.direction(sub(B.vertices[j], B.vertices[i])))
+    if census != {3: 4, 4: V - 4}:
+        raise InternalInconsistency(
+            f"V = F lattice census {census} contradicts Euler counting "
+            f"(expected 4 triangles and V - 4 quadrilaterals)")
+    return (EXCLUDED, {"reason": ("V = F with 4 triangles and V - 4 quadrilaterals, "
+                                  "none adjacent: contradicts 4q <= 3p = 12"),
+                       "census_contradiction": True}, None, None)
 
 
 def classify_minimizer_candidate(P):
@@ -178,80 +247,15 @@ def classify_minimizer_candidate(P):
     the certified non-trivial admissible speed, except in the one
     arithmetically impossible V = F census, which is excluded by counting.
     """
-    if P.kernel == G.DOUBLE:
-        P = G.snap_to_rational(P)
+    P = G.snap_to_rational(P)
     lat = P.lattice
-    V, F = lat.V, lat.F
-    census = lat.facet_size_census()
-    evidence = {"V": V, "E": lat.E, "F": F,
+    verdict, notes, side, pick = _decide(lat)
+    evidence = {"V": lat.V, "E": lat.E, "F": lat.F,
                 "max_degree": max(lat.d(v) for v in lat.I0),
-                "facet_size_census": census}
-
-    if abs(V - F) > 2:
-        if F > V:
-            side, B = "primal", P
-        else:
-            side, B = "polar", PO.polar(P)
-        rep = dimension_bound(B, generic_direction([B]))
-        if not rep.nontrivial_certified:
-            raise InternalInconsistency(
-                f"|V-F| = {abs(V - F)} > 2 but bound {rep.bound} <= 3")
+                "facet_size_census": lat.facet_size_census()}
+    if side is not None:
+        B = P if side == "primal" else PO.polar(P)
+        rep = dimension_bound(B, pick(B))
         evidence.update(_witness_evidence(side, B, rep))
-        evidence["reason"] = "|V - F| > 2"
-        return MinimizerClassification(EXCLUDED, evidence)
-
-    if V == F + 2:
-        if evidence["max_degree"] > 3:
-            B = PO.polar(P)
-            big = min(k for k in B.lattice.I2 if B.lattice.m(k) >= 4)
-            rep = dimension_bound(B, in_plane_direction(B, big))
-            evidence.update(_witness_evidence("polar", B, rep))
-            evidence["reason"] = "vertex of degree > 3 in the V = F + 2 case"
-            return MinimizerClassification(EXCLUDED, evidence)
-        if (V, F) != (8, 6):
-            raise InternalInconsistency(
-                f"all degrees 3 with V = F + 2 forces (V,F) = (8,6), got {(V, F)}")
-        return MinimizerClassification(PARALLELEPIPED, evidence)
-
-    if F == V + 2:
-        if max(census) > 3:
-            big = min(k for k in lat.I2 if lat.m(k) >= 4)
-            rep = dimension_bound(P, in_plane_direction(P, big))
-            evidence.update(_witness_evidence("primal", P, rep))
-            evidence["reason"] = "facet with more than 3 vertices in the F = V + 2 case"
-            return MinimizerClassification(EXCLUDED, evidence)
-        if (V, F) != (6, 8):
-            raise InternalInconsistency(
-                f"all triangles with F = V + 2 forces (V,F) = (6,8), got {(V, F)}")
-        return MinimizerClassification(AFFINE_OCTAHEDRON, evidence)
-
-    # V == F
-    big = [k for k in lat.I2 if lat.m(k) >= 5]
-    if big:
-        rep = dimension_bound(P, in_plane_direction(P, min(big)))
-        evidence.update(_witness_evidence("primal", P, rep))
-        evidence["reason"] = "facet with 5 or more vertices in the V = F case"
-        return MinimizerClassification(EXCLUDED, evidence)
-    for e, (i, j) in enumerate(lat.edges):
-        f1, f2 = lat.phi2[e]
-        if lat.m(f1) == 4 and lat.m(f2) == 4:
-            d = sub(P.vertices[j], P.vertices[i])
-            rep = dimension_bound(P, SH.direction(d))
-            if rep.bound <= 3:
-                raise InternalInconsistency(
-                    f"shared-edge direction of adjacent quadrilaterals gives "
-                    f"bound {rep.bound} <= 3")
-            evidence.update(_witness_evidence("primal", P, rep))
-            evidence["reason"] = "edge-adjacent quadrilateral facets in the V = F case"
-            evidence["adjacent_quad_edge"] = (i, j)
-            return MinimizerClassification(EXCLUDED, evidence)
-    p = census.get(3, 0)
-    q = census.get(4, 0)
-    if p != 4 or q != V - 4 or p + q != F:
-        raise InternalInconsistency(
-            f"V = F lattice census {census} contradicts Euler counting "
-            f"(expected 4 triangles and V - 4 quadrilaterals)")
-    evidence["reason"] = ("V = F with 4 triangles and V - 4 quadrilaterals, "
-                          "none adjacent: contradicts 4q <= 3p = 12")
-    evidence["census_contradiction"] = True
-    return MinimizerClassification(EXCLUDED, evidence)
+    evidence.update(notes)
+    return MinimizerClassification(verdict, evidence)

@@ -31,6 +31,7 @@ from .hull import dot, neg, sub
 RATIONAL = "rational"
 DOUBLE = "double"
 _KERNELS = (RATIONAL, DOUBLE)
+_SNAP_BITS = 40   # rational snaps round to the dyadic grid 2^-40
 
 
 def _as_coord(x, kernel):
@@ -501,17 +502,20 @@ def linear_image(P, A):
     return Q
 
 
-def snap_to_rational(P, bits=40):
-    """Round a double-kernel polytope to dyadic rationals (denominator 2^bits)
-    and rebuild it on the exact kernel.  Combinatorial verdicts downstream
-    then cannot flip on rounding."""
-    if P.kernel == RATIONAL:
-        return P
-    den = 1 << bits
-    reps = []
-    for i in P.rep_indices():
-        reps.append(tuple([Fraction(round(c * den), den) for c in P.vertices[i]]))
-    return from_representatives(reps, RATIONAL)
+def _snap(P):
+    """``P`` rebuilt on the exact kernel with every coordinate, read as a
+    float, rounded to the nearest multiple of 2^-_SNAP_BITS."""
+    den = 1 << _SNAP_BITS
+    return from_representatives(
+        [tuple([Fraction(round(float(c) * den), den) for c in P.vertices[i]])
+         for i in P.rep_indices()], RATIONAL)
+
+
+def snap_to_rational(P):
+    """Round a double-kernel polytope to dyadic rationals (denominator
+    2^_SNAP_BITS) and rebuild it on the exact kernel.  Combinatorial verdicts
+    downstream then cannot flip on rounding."""
+    return P if P.kernel == RATIONAL else _snap(P)
 
 
 def to_double(P):

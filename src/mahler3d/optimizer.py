@@ -106,10 +106,8 @@ def _candidate_directions(P, Q, cfg, rng):
     dirs = []
     for _ in range(cfg.direction_budget):
         v = rng.normal(size=3)
-        L = float(np.linalg.norm(v))
-        if L < 1e-9:
+        if float(np.linalg.norm(v)) < 1e-9:
             v = np.array([1.0, 0.0, 0.0])
-            L = 1.0
         dirs.append(SH.direction(tuple([float(x) for x in v])))
     for B in (P, Q):
         lat = B.lattice
@@ -120,13 +118,11 @@ def _candidate_directions(P, Q, cfg, rng):
                 dirs.append(CB.in_plane_direction(B, k))
             except (InternalInconsistency, ParallelismAmbiguity):
                 pass
-        for e, (i, j) in enumerate(lat.edges):
-            f1, f2 = lat.phi2[e]
-            if lat.m(f1) == 4 and lat.m(f2) == 4:
-                try:
-                    dirs.append(SH.direction(sub(B.vertices[j], B.vertices[i])))
-                except InputError:
-                    pass
+        for i, j in CB._adjacent_quad_edges(lat):
+            try:
+                dirs.append(SH.direction(sub(B.vertices[j], B.vertices[i])))
+            except InputError:
+                pass
     uniq = []
     used = set()
     for d in dirs:
@@ -165,11 +161,8 @@ def _snap_iterate(P):
     coordinate bit length move over move until hulls become intractable."""
     if P.kernel != G.RATIONAL:
         return P
-    den = 1 << 40
-    reps = [tuple([Fraction(round(float(x) * den), den) for x in P.vertices[i]])
-            for i in P.rep_indices()]
     try:
-        snapped = G.from_representatives(reps, G.RATIONAL)
+        snapped = G._snap(P)
     except (InputError, NumericalDegeneracy):
         return P
     if snapped.V == P.V and G.same_labeled_lattice(snapped.lattice, P.lattice):
@@ -223,11 +216,9 @@ def descend(P0, cfg=None):
     steps = []
     stall = False
     terminated_by = "iteration-budget"
-    final_cls = None
     for _ in range(cfg.max_iters):
-        cls = CB.classify_minimizer_candidate(P)
-        if cls.verdict in (CB.PARALLELEPIPED, CB.AFFINE_OCTAHEDRON):
-            final_cls = cls
+        S = G.snap_to_rational(P)
+        if CB._decide(S.lattice)[0] != CB.EXCLUDED:
             terminated_by = "classification"
             break
         Q = PO.polar(P)
@@ -262,7 +253,6 @@ def descend(P0, cfg=None):
             if after < before - tol and newP.V <= N:
                 break
         else:
-            final_cls = cls
             stall = saw_variation   # only a non-trivial candidate sets it
             terminated_by = "no-improving-move"
             break
@@ -270,8 +260,10 @@ def descend(P0, cfg=None):
                                  theta=th, alpha=alpha, t=float(t),
                                  product_before=before, product_after=after))
         P = _snap_iterate(newP)
-    if final_cls is None:
-        final_cls = CB.classify_minimizer_candidate(P)
+    else:
+        S = G.snap_to_rational(P)
+    # only the final verdict needs its witness; S is rational, so not re-snapped
+    final_cls = CB.classify_minimizer_candidate(S)
     gap = float(PO.volume_product(P).product) - bound
     if gap < -1e-6:
         raise CounterexampleAlarm(

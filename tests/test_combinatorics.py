@@ -1,9 +1,12 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mahler3d as M
+from mahler3d.cli import _jsonable
 
 import oracles
 
@@ -136,6 +139,28 @@ def test_classify_hex_prism_excluded(hex_prism_r):
 def test_classify_double_input_snaps(cube_d, cubocta_d):
     assert M.classify_minimizer_candidate(cube_d).verdict == M.PARALLELEPIPED
     assert M.classify_minimizer_candidate(cubocta_d).verdict == M.EXCLUDED
+
+
+BRANCH_FIXTURES = sorted(
+    (Path(__file__).parent / "fixtures").glob("classify_*.json"))
+
+
+@pytest.mark.parametrize("path", BRANCH_FIXTURES, ids=lambda p: p.stem)
+def test_classify_branch_fixtures(path):
+    # integer bodies for the V = F and F = V + 2 branches, which random
+    # bodies never reach; the golden verdicts and evidence, keys in order,
+    # are those of the classification before it was split into a lattice
+    # decision and one witness step.  The double polars of the pentagon
+    # and F = V + 2 bodies snap to other lattices (ROADMAP item 1).
+    data = json.loads(path.read_text())
+    for kernel, golden in data["golden"].items():
+        P = M.load_polytope(data, kernel=kernel)
+        for side, B in (("body", P), ("polar", M.polar(P))):
+            cls = M.classify_minimizer_candidate(B)
+            got = json.loads(json.dumps(_jsonable(cls.evidence)))
+            assert cls.verdict == golden[side]["verdict"]
+            assert list(got.items()) == list(golden[side]["evidence"].items())
+            _check_witness(M.snap_to_rational(B), cls)
 
 
 def test_classify_random_simplicial_excluded(corpus50):

@@ -243,3 +243,26 @@ def test_tied_moves_ignore_score_noise(monkeypatch):
         monkeypatch.setattr(optimizer, "_line_search", noisy)
         step = M.descend(P, cfg).steps[0]
         assert (step.side, step.theta) == (first.side, first.theta)
+
+
+def test_descent_builds_witness_evidence_once(monkeypatch, cubocta_r):
+    # the descent reads only verdicts on its iterates; the witness of the
+    # final classification is the one it certifies
+    from mahler3d import combinatorics
+    calls = []
+    real = combinatorics._witness_evidence
+
+    def witness_evidence(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(combinatorics, "_witness_evidence", witness_evidence)
+    counts = []
+    for P, cfg in ((M.random_symmetric_polytope(5, seed=2),
+                    M.DescentConfig(seed=2)),
+                   (cubocta_r, M.DescentConfig(seed=5, max_iters=1))):
+        calls.clear()
+        tr = M.descend(P, cfg)
+        counts.append(len(calls))
+        assert len(calls) == (tr.final_classification.verdict == M.EXCLUDED)
+    assert counts == [1, 0]
