@@ -3,8 +3,11 @@ and the origin-fan volume shared by both kernels.
 
 ``support_planes`` is the hull's hot loop, vectorised with numpy over the
 triples of antipodal pairs that ``pair_triples`` lists for both hull
-kernels; the exact-rational hull never enters it.  ``fan_volume`` is a plain
-loop over coordinate tuples, exact on ``Fraction`` coordinates.
+kernels; the exact-rational hull never enters it.  ``fan_determinants`` is
+a plain loop over coordinate tuples: the double kernel reads it through
+``fan_volume``, and the rational kernel runs it on the integer images of
+its coordinates (``hull._integer_points``), where every product and sum is
+an exact Python integer and no ``Fraction`` is built until the result.
 """
 
 import functools
@@ -84,11 +87,18 @@ def support_planes(pts, dist_tol, area_tol):
 
 
 def fan_volume(points, cycles):
-    """Signed volume of the origin cones over oriented facet cycles.
+    """Signed volume of the origin cones over oriented facet cycles:
+    ``fan_determinants`` / 6."""
+    return fan_determinants(points, cycles) / 6
+
+
+def fan_determinants(points, cycles):
+    """Sum of the determinants det(p_0, p_a, p_a+1) of the origin fans over
+    oriented facet cycles, six times their signed volume.
 
     ``points`` are coordinate triples and ``cycles`` index into them; every
-    facet is fanned from its first corner.  Exact on ``Fraction``
-    coordinates.
+    facet is fanned from its first corner.  Exact on integer or
+    ``Fraction`` coordinates.
     """
     total = 0
     for cyc in cycles:
@@ -98,4 +108,4 @@ def fan_volume(points, cycles):
             x2, y2, z2 = points[cyc[a + 1]]
             total += (x0 * (y1 * z2 - z1 * y2) + y0 * (z1 * x2 - x1 * z2)
                       + z0 * (x1 * y2 - y1 * x2))
-    return total / 6
+    return total

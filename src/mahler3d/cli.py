@@ -189,7 +189,7 @@ def _cmd_speeds(args):
     _write_json(_jsonable(out), args.out)
 
 
-def _sweep_directions(P, n, seed, kernel):
+def _sweep_directions(P, n, seed):
     lat = P.lattice
     dirs, used = [], set()
 
@@ -218,15 +218,14 @@ def _sweep_directions(P, n, seed, kernel):
         v = tuple([int(c) for c in rng.integers(-9, 10, size=3)])
         if v == (0, 0, 0):
             continue
-        vec = v if kernel == G.RATIONAL else tuple([float(c) for c in v])
-        push(SH.direction(vec))
+        push(SH.direction(v))
     return dirs[:max(n, 0)] if len(dirs) > n else dirs
 
 
 def _cmd_bound_sweep(args):
     kernel = _kernel(args)
     P = _load(args, kernel)
-    dirs = _sweep_directions(P, args.dirs, args.seed, kernel)
+    dirs = _sweep_directions(P, args.dirs, args.seed)
     rows = []
     # a direction whose parallel set or rows cannot be decided is left out;
     # findings still raise

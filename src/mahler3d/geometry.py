@@ -19,6 +19,7 @@ normal and the same offset, so "one facet per antipodal pair" is
 """
 
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -49,11 +50,16 @@ def _as_coord(x, kernel):
 
 
 def as_point(p, kernel):
-    """Coerce a length-3 sequence to a coordinate triple of the kernel's type."""
+    """Coerce a length-3 sequence to a coordinate triple of the kernel's
+    type; a coordinate that is not a finite number raises InputError on
+    either kernel."""
     if len(p) != 3:
         raise InputError(f"point of length {len(p)}")
-    t = tuple([_as_coord(c, kernel) for c in p])
-    if kernel == DOUBLE and not all(np.isfinite(c) for c in t):
+    try:
+        t = tuple([_as_coord(c, kernel) for c in p])
+    except (ValueError, OverflowError, ZeroDivisionError) as e:
+        raise InputError(f"invalid coordinate in {p!r}: {e}")
+    if kernel == DOUBLE and not all([math.isfinite(c) for c in t]):
         raise InputError(f"non-finite coordinate in {p!r}")
     return t
 
@@ -441,19 +447,28 @@ def from_representatives(reps, kernel):
     """SymPolytope from already-symmetrized representative coordinates,
     preserving their order (labels survive when no vertex drops out).
 
-    Representatives that coincide up to sign, as when a deformation moves
-    one vertex onto another or onto its antipode, merge into the first:
-    exactly on the rational kernel, within ``build_sym_polytope``'s default
-    tolerance on the double kernel.
+    Each representative is coerced by ``as_point``.  Representatives that
+    coincide up to sign, as when a deformation moves one vertex onto another
+    or onto its antipode, merge into the first: exactly on the rational
+    kernel, by set membership of the kept points and their negations, and
+    within ``build_sym_polytope``'s default tolerance on the double kernel.
     """
-    tol2 = 0
-    if kernel == DOUBLE:
-        tol2 = (_hull.DIST_TOL_REL * _hull.coordinate_scale(reps)) ** 2
+    reps = [as_point(p, kernel) for p in reps]
+    if not reps:
+        raise DegenerateInput("empty point set")
     kept = []
-    for p in reps:
-        if all(dot(d, d) > tol2 for q in kept
-               for d in (sub(p, q), sub(p, neg(q)))):
-            kept.append(p)
+    if kernel == RATIONAL:
+        seen = set()
+        for p in reps:
+            if p not in seen:
+                kept.append(p)
+                seen.update((p, neg(p)))
+    else:
+        tol2 = (_hull.DIST_TOL_REL * _hull.coordinate_scale(reps)) ** 2
+        for p in reps:
+            if all(dot(d, d) > tol2 for q in kept
+                   for d in (sub(p, q), sub(p, neg(q)))):
+                kept.append(p)
     return _assemble(kept, kernel, keep_order=True)
 
 
@@ -462,10 +477,15 @@ def volume(P):
     over the first F/2 facets, one per antipodal pair, since their antipodes
     span the mirrored cones.
 
-    Exact Fraction in rational mode.
+    Exact Fraction in rational mode: the fan determinants are summed on the
+    vertices scaled to integers by D (``hull._integer_points``), which
+    scales each of them by D^3, and one Fraction is built from the sum.
     """
-    lat = P.lattice
-    return 2 * _kernels.fan_volume(P.vertices, lat.facet_cycles[:lat.F // 2])
+    cycles = P.lattice.facet_cycles[:P.lattice.F // 2]
+    if P.kernel == RATIONAL:
+        points, den = _hull._integer_points(P.vertices)
+        return Fraction(_kernels.fan_determinants(points, cycles), 3 * den ** 3)
+    return 2 * _kernels.fan_volume(P.vertices, cycles)
 
 
 def linear_image(P, A):

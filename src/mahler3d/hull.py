@@ -23,13 +23,14 @@ relative to the largest coordinate, with the triple search vectorised by
 numpy in ``_kernels.support_planes``; coplanar sets that a tolerance
 splinters are merged, pair by pair).  The exact kernel scales its rational
 input once by ``D``, the least common multiple of the coordinate
-denominators, and runs every predicate (affine dimension, supporting sets,
-polygon corners, Newell normal, orientation) on the integer points ``p·D``,
-where Python's integers are exact and far cheaper than ``Fraction``
-arithmetic.  ``Fraction``s appear only at output: the Newell normal is
-homogeneous of degree 2 and the plane offset of degree 3 in the
+denominators, and runs every predicate (the layout check, affine dimension,
+supporting sets, polygon corners, Newell normal, orientation) on the integer
+points ``p·D``, where Python's integers are exact and far cheaper than
+``Fraction`` arithmetic.  ``Fraction``s appear only at output: the Newell
+normal is homogeneous of degree 2 and the plane offset of degree 3 in the
 coordinates, so a facet found on the integer points has normal
-``nw / D**2`` and offset ``nw·p / D**3`` on the input.
+``nw / D**2`` and offset ``nw·p / D**3`` on the input.  ``geometry.volume``
+and ``shadow`` scale their exact inputs by the same ``_integer_points``.
 
 The algorithm is quartic in the vertex count and intended for the small
 polytopes this toolkit manipulates (V up to a few dozen), where robustness
@@ -308,7 +309,8 @@ def hull_3d(points, exact, dist_tol=None):
     antipode of facet f.
 
     exact=True takes rational coordinates (``Fraction`` or ``int``), decides
-    every predicate on their integer images and returns ``Fraction`` planes;
+    every predicate, the layout check included, on their integer images and
+    returns ``Fraction`` planes;
     otherwise points must be floats and ``dist_tol`` (absolute plane-residual
     tolerance) applies.  Raises InputError when the list breaks the layout,
     DegenerateInput below dimension 3 and NumericalDegeneracy when the facet
@@ -316,11 +318,12 @@ def hull_3d(points, exact, dist_tol=None):
     """
     n = len(points)
     k = n // 2
+    if exact:
+        points, den = _integer_points(points)
     if n % 2 or any(tuple(points[k + i]) != neg(points[i]) for i in range(k)):
         raise InputError("hull input must be k points followed by their "
                          "negations")
     if exact:
-        points, den = _integer_points(points)
         dim = affine_dim(points)
         if dim < 3:
             raise DegenerateInput(f"affine hull has dimension {dim} < 3")

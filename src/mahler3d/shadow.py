@@ -20,6 +20,7 @@ package.  ``admissible_spaces`` therefore solves each distinct set once per
 call and shares the basis among the directions that give it.
 """
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -412,8 +413,11 @@ def admissible_spaces(P, thetas, skip=()):
     """
     thetas = [direction(th) for th in thetas]
     sets = _parallel_sets(P, _facet_normals(P), thetas, skip)
-    trivial = tuple([trivial_speed(P, w)
-                     for w in ((1, 0, 0), (0, 1, 0), (0, 0, 1))])
+    if P.kernel == G.RATIONAL:   # the columns: 1 x + 0 y + 0 z is x
+        trivial = tuple([SpeedVector(alpha=c) for c in zip(*P.vertices)])
+    else:
+        trivial = tuple([trivial_speed(P, w)
+                         for w in ((1, 0, 0), (0, 1, 0), (0, 0, 1))])
     facet_rows = {}
     bases = {None: None}  # a skipped direction's set None gets no space
     for S in sets:
@@ -460,29 +464,44 @@ def _in_frame(frame, b, tol=1e-9):
     return float(np.linalg.norm(r)) <= tol * float(np.linalg.norm(b))
 
 
+def _sumprod(a, b):
+    return sum(map(operator.mul, a, b))
+
+
 def _off_trivial(S, speeds, exact):
-    """Each speed minus its projection onto the trivial span of ``S``, as a
-    list in reduced pair coordinates: exact Gram-Schmidt over Fractions with
-    ``exact``, float QR otherwise."""
+    """Each speed minus its orthogonal projection onto the trivial span of
+    ``S``, as a list in reduced pair coordinates.
+
+    Float QR without ``exact``.  With it, on integer images
+    (``hull._integer_points``): T holds the three trivial speeds and v a
+    speed, each scaled to integers, and the residual is v - T^T G^-1 T v
+    for the Gram matrix G = T T^T, solved once through its adjugate, so
+    that each component is one Fraction over det(G) times the scale of v.
+    The projection onto a span is unique, so this is exactly the
+    Gram-Schmidt residual.  A singular G raises InternalInconsistency.
+    """
     k = S.base.n_pairs
     if not exact:
         Qo = _trivial_frame(S)
         return [(b - Qo @ (Qo.T @ b)).tolist()
                 for b in (sv.as_array()[:k] for sv in speeds)]
-    ortho = []
-
-    def reduce(v):
-        for u in ortho:
-            uv = sum(x * y for x, y in zip(u, v))
-            uu = sum(x * x for x in u)
-            v = [x - uv / uu * y for x, y in zip(v, u)]
-        return v
-
-    for tv in S.trivial_basis:
-        v = reduce(list(tv.alpha[:k]))
-        if any(v):
-            ortho.append(v)
-    return [reduce(list(sv.alpha[:k])) for sv in speeds]
+    T = _integer_points([tv.alpha[:k] for tv in S.trivial_basis])[0]
+    gram = [[_sumprod(r, c) for c in T] for r in T]
+    adj = [[gram[(i + 1) % 3][(j + 1) % 3] * gram[(i + 2) % 3][(j + 2) % 3]
+            - gram[(i + 1) % 3][(j + 2) % 3] * gram[(i + 2) % 3][(j + 1) % 3]
+            for j in range(3)] for i in range(3)]   # gram is symmetric
+    det = _sumprod(gram[0], adj[0])
+    if det == 0:
+        raise InternalInconsistency("the trivial speeds are linearly dependent")
+    out = []
+    for sv in speeds:
+        (v,), dv = _integer_points([sv.alpha[:k]])
+        Tv = [_sumprod(r, v) for r in T]
+        y0, y1, y2 = [_sumprod(a, Tv) for a in adj]
+        den = det * dv
+        out.append([Fraction(det * x - (y0 * t0 + y1 * t1 + y2 * t2), den)
+                    for x, t0, t1, t2 in zip(v, *T)])
+    return out
 
 
 def is_trivial(S, alpha, tol=1e-9):

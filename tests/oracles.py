@@ -416,3 +416,60 @@ def first_nontrivial_index(basis, trivial, n_pairs, tol=1e-9):
         if not float(np.linalg.norm(r)) <= tol * float(np.linalg.norm(b)):
             return i
     return None
+
+
+def fan_volume_fractions(vertices, cycles):
+    """|P| as twice the origin fan over the first F/2 facet cycles, every
+    determinant summed in ``Fraction``s on the coordinates as given."""
+    total = Fraction(0)
+    for cyc in cycles[:len(cycles) // 2]:
+        p0 = [Fraction(c) for c in vertices[cyc[0]]]
+        for a in range(1, len(cyc) - 1):
+            p1 = [Fraction(c) for c in vertices[cyc[a]]]
+            p2 = [Fraction(c) for c in vertices[cyc[a + 1]]]
+            total += (p0[0] * (p1[1] * p2[2] - p1[2] * p2[1])
+                      + p0[1] * (p1[2] * p2[0] - p1[0] * p2[2])
+                      + p0[2] * (p1[0] * p2[1] - p1[1] * p2[0]))
+    return 2 * total / 6
+
+
+def merge_representatives(reps):
+    """The representatives kept by the O(k^2) loop: each one whose squared
+    distance to every kept point and to its negation is positive, so the
+    first of each class equal up to sign wins."""
+    kept = []
+    for p in reps:
+        p = tuple([Fraction(c) for c in p])
+        if all(sum((a - b) ** 2 for a, b in zip(p, s)) > 0
+               for q in kept for s in (q, tuple([-c for c in q]))):
+            kept.append(p)
+    return kept
+
+
+def antipodal_layout(points):
+    """Whether a point list is k points followed by their negations,
+    points[k + i] == -points[i], every coordinate negated as a Fraction."""
+    n, k = len(points), len(points) // 2
+    return n % 2 == 0 and all(
+        tuple([Fraction(c) for c in points[k + i]])
+        == tuple([-Fraction(c) for c in points[i]]) for i in range(k))
+
+
+def off_trivial_gram_schmidt(trivial, speeds, n_pairs):
+    """Each speed minus its projection onto the span of ``trivial``, in the
+    first ``n_pairs`` coordinates: Gram-Schmidt over Fractions, a trivial
+    vector that reduces to zero dropped."""
+    ortho = []
+
+    def reduce(v):
+        for u in ortho:
+            uv = sum(x * y for x, y in zip(u, v))
+            uu = sum(x * x for x in u)
+            v = [x - uv / uu * y for x, y in zip(v, u)]
+        return v
+
+    for tv in trivial:
+        v = reduce([Fraction(c) for c in tv[:n_pairs]])
+        if any(v):
+            ortho.append(v)
+    return [reduce([Fraction(c) for c in sv[:n_pairs]]) for sv in speeds]

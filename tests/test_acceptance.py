@@ -100,7 +100,7 @@ def test_4_dimension_bound_sweep(corpus50, cube_r, octa_r, cubocta_r):
     min_checked = None
     for i, P in enumerate(bodies):
         checked = 0
-        for th in _sweep_directions(P, 72, 4000 + i, P.kernel):
+        for th in _sweep_directions(P, 72, 4000 + i):
             try:
                 rep = M.dimension_bound(P, th)
             except E.ParallelismAmbiguity:

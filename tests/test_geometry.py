@@ -234,6 +234,34 @@ def test_build_lattice_rejects_a_swapped_facet(cubocta_r, cubocta_d):
             G._build_lattice(P.V, facets)
 
 
+@pytest.mark.parametrize("kernel", [M.RATIONAL, M.DOUBLE])
+@pytest.mark.parametrize("build", [M.build_sym_polytope,
+                                   M.from_representatives])
+@pytest.mark.parametrize("reps,error", [
+    ([], DegenerateInput),
+    ([(float("nan"), 0, 0), (0, 1, 0), (0, 0, 1)], InputError),
+    ([(1, 0, 0), (0, float("inf"), 0), (0, 0, 1)], InputError),
+    ([(1, 0, 0), (0, 1, 0), (0, 0, -float("inf"))], InputError),
+    ([(1, 0, 0), (0, "nan", 0), (0, 0, 1)], InputError),
+    ([(1, 0, 0), (0, 1, 0), (0, 0, "1/0")], InputError),
+], ids=["empty", "nan", "inf", "-inf", "nan-string", "zero-denominator"])
+def test_bad_points_raise_typed_errors(kernel, build, reps, error):
+    with pytest.raises(error):
+        build(reps, kernel=kernel)
+
+
+def test_from_representatives_coerces_to_the_kernel():
+    for reps in ([(1, 0, 0), (0, 1, 0), (0, 0, 1)],
+                 [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), ("0", 0.0, "1")]):
+        R = M.from_representatives(reps, M.RATIONAL)
+        assert type(M.volume(R)) is Fraction
+        assert M.volume(R) == Fraction(4, 3)
+        assert all(type(c) is Fraction for v in R.vertices for c in v)
+        D = M.from_representatives(reps, M.DOUBLE)
+        assert all(type(c) is float for v in D.vertices for c in v)
+        assert M.volume(D) == pytest.approx(4 / 3, rel=1e-15)
+
+
 @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
 def test_tolerances_follow_the_coordinate_scale(scale):
     # Two vertices 1e-4 apart relative to the body, at any absolute size.

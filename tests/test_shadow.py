@@ -103,6 +103,20 @@ def test_trivial_speeds_always_admissible(cube_r, cubocta_d):
             assert M.is_trivial(S, tv)
 
 
+def test_trivial_basis_is_the_trivial_speeds(cube_r, cubocta_r, octa_d,
+                                            cubocta_d, corpus50):
+    # repr tells a -0.0 from a 0.0, so the bare coordinate columns would
+    # fail on the double kernel: cubocta_d has vertices such as
+    # (-1.0, 1.0, -0.0), whose e3 speed sums to 0.0
+    snapped = [M.snap_to_rational(P) for P in corpus50[:10]]
+    for P in [cube_r, cubocta_r, M.polar(cubocta_r), octa_d, cubocta_d] \
+            + snapped + [M.polar(P) for P in snapped]:
+        want = tuple([M.trivial_speed(P, w)
+                      for w in ((1, 0, 0), (0, 1, 0), (0, 0, 1))])
+        S = M.admissible_space(P, (3, 5, 7))
+        assert repr(S.trivial_basis) == repr(want)
+
+
 def test_facet_rows_match_cramer_coordinates(cube_r, octa_r, cubocta_r,
                                              hex_prism_r, corpus50):
     named = [cube_r, octa_r, cubocta_r, hex_prism_r]
