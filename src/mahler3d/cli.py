@@ -219,7 +219,7 @@ def _sweep_directions(P, n, seed):
         if v == (0, 0, 0):
             continue
         push(SH.direction(v))
-    return dirs[:max(n, 0)] if len(dirs) > n else dirs
+    return dirs[:max(n, 0)]
 
 
 def _cmd_bound_sweep(args):

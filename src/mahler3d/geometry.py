@@ -12,10 +12,12 @@ involution i <-> i+k.  All constructors produce coordinates for the
 representatives only and mirror them by exact negation, which makes the
 pairing invariant structural rather than numerical.
 
-Facets follow the same convention (``hull.facet_layout``): facet f + F/2 is
-the antipode of facet f, with the mirrored, reversed cycle, the negated
-normal and the same offset, so "one facet per antipodal pair" is
-``range(F // 2)``.  ``_build_lattice`` checks the layout on every body.
+Facets follow the same convention: facet f + F/2 is the antipode of facet
+f, with the mirrored, reversed cycle, the negated normal and the same
+offset, so "one facet per antipodal pair" is ``range(F // 2)``.
+``_build_lattice`` is the one place that builds an antipodal facet: it takes
+one facet per pair, mirrors it and lays the facets out, so the layout holds
+by construction.
 """
 
 import json
@@ -25,8 +27,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import _kernels, hull as _hull
-from .errors import (DegenerateInput, InputError, InternalInconsistency,
-                     NumericalDegeneracy, SingularMatrix, ToleranceConflict)
+from .errors import (DegenerateInput, InputError, NumericalDegeneracy,
+                     SingularMatrix, ToleranceConflict)
 from .hull import dot, neg, sub
 
 RATIONAL = "rational"
@@ -142,39 +144,43 @@ class FaceLattice:
         """For each vertex, its incident facets in cyclic order around it.
 
         This is the facet-cycle data of the order-reversed (polar) lattice.
-        From facet f the walk crosses the edge that leaves v in f's
-        (counterclockwise, outward) cycle, so every ring turns clockwise
-        seen from outside along v.  Rings are walked for the representatives
-        0..V/2-1 only: the ring of v + V/2 is the antipodal image of v's,
-        traversed backwards.
+        From facet f the walk crosses the edge v -> w that leaves v in f's
+        (counterclockwise, outward) cycle into the facet that holds w -> v,
+        so every ring turns clockwise seen from outside along v.  Rings
+        start at the first facet through v and are walked for the
+        representatives 0..V/2-1 only: the ring of v + V/2 is the antipodal
+        image of v's, traversed backwards.
         """
         if self._vertex_facet_cycles is not None:
             return self._vertex_facet_cycles
-        edge_label = {e: k for k, e in enumerate(self.edges)}
-        nxt = {}  # (facet, vertex) -> successor vertex in that facet's cycle
-        incident = [[] for _ in range(self.n_vertices)]
+        step = {}   # directed cycle edge (u, v) -> (its facet, v's successor)
+        start = {}  # vertex -> (first facet through it, its successor there)
+        degree = [0] * self.n_vertices
         for f, cyc in enumerate(self.facet_cycles):
-            m = len(cyc)
-            for a in range(m):
-                nxt[(f, cyc[a])] = cyc[(a + 1) % m]
-                incident[cyc[a]].append(f)
+            u, v = cyc[-2], cyc[-1]
+            for w in cyc:
+                step[(u, v)] = (f, w)
+                start.setdefault(v, (f, w))
+                degree[v] += 1
+                u, v = v, w
         out = []
         for v in range(self.n_vertices // 2):
-            start = incident[v][0]
-            ring = [start]
-            f = start
+            f, w = start[v]
+            ring = [f]
             while True:
-                w = nxt[(f, v)]
-                k = edge_label[(min(v, w), max(v, w))]
-                a, b = self.phi2[k]
-                f = b if a == f else a
-                if f == start:
+                try:
+                    f, w = step[(w, v)]
+                except KeyError:
+                    raise NumericalDegeneracy(
+                        f"edge {v}-{w} of facet {f} has no reverse edge",
+                        offending=[v, w]) from None
+                if f == ring[0]:
                     break
                 ring.append(f)
-                if len(ring) > len(incident[v]):
+                if len(ring) > degree[v]:
                     raise NumericalDegeneracy(
                         f"facet ring around vertex {v} does not close", offending=[v])
-            if len(ring) != len(incident[v]):
+            if len(ring) != degree[v]:
                 raise NumericalDegeneracy(
                     f"facet ring around vertex {v} misses facets", offending=[v])
             out.append(tuple(ring))
@@ -192,23 +198,28 @@ def same_labeled_lattice(a, b):
     return a.signature() == b.signature()
 
 
-def _build_lattice(n, facets):
-    """Assemble a FaceLattice from ``hull.Facet`` records in the facet
-    layout, their indices already relabeled to the final vertex order.
+def _build_lattice(n, pairs):
+    """Assemble the FaceLattice of n vertices in the vertex layout from one
+    ``hull.Facet`` per antipodal facet pair, either member.
 
-    Raises InternalInconsistency when facet f + F/2 is not the mirrored,
-    reversed cycle of facet f with the negated normal and the same offset.
+    Each antipode gets the mirrored, reversed cycle, the negated normal and
+    the same offset.  The facets are then laid out: of each pair the member
+    with the smaller sorted vertex key, pairs sorted by that key, then the
+    antipodes in the same order.  Returns (lattice, order): facet j is
+    ``pairs[order[j]]``, or the antipode of ``pairs[order[j] - K]`` when
+    order[j] >= K = len(pairs).
     """
-    K = len(facets) // 2
-    for f, g in zip(facets[:K], facets[K:]):
-        mirror = _hull._canonical_cycle(
-            tuple([(v + n // 2) % n for v in reversed(f.cycle)]))
-        if g != _hull.Facet(mirror, neg(f.normal), f.offset):
-            raise InternalInconsistency(
-                f"facet {g.cycle}, F/2 after facet {f.cycle}, is not its "
-                "antipode")
-    lat = FaceLattice(n, tuple([f.cycle for f in facets]),
-                      tuple([(f.normal, f.offset) for f in facets]))
+    K = len(pairs)
+    cycles = [f.cycle for f in pairs] + [_hull._canonical_cycle(
+        tuple([(v + n // 2) % n for v in reversed(f.cycle)])) for f in pairs]
+    planes = ([(f.normal, f.offset) for f in pairs]
+              + [(neg(f.normal), f.offset) for f in pairs])
+    keys = [sorted(c) for c in cycles]
+    firsts = sorted([i if keys[i] < keys[i + K] else i + K for i in range(K)],
+                    key=keys.__getitem__)
+    order = tuple(firsts + [(i + K) % (2 * K) for i in firsts])
+    lat = FaceLattice(n, tuple([cycles[i] for i in order]),
+                      tuple([planes[i] for i in order]))
     bad = [e for e, owners in zip(lat.edges, lat.phi2) if len(owners) != 2]
     if bad:
         raise NumericalDegeneracy(f"edges not shared by exactly two facets: {bad[:4]}",
@@ -216,7 +227,7 @@ def _build_lattice(n, facets):
     if lat.V - lat.E + lat.F != 2:
         raise NumericalDegeneracy(
             f"Euler check failed: V={lat.V} E={lat.E} F={lat.F}")
-    return lat
+    return lat, order
 
 
 class SymPolytope:
@@ -307,8 +318,6 @@ def _dedupe_and_pair(points, tol, kernel):
             if p in seen:
                 continue
             np_ = neg(p)
-            if np_ not in uniq:
-                raise ToleranceConflict(f"point {p} lost its antipode")  # unreachable
             if p == np_:
                 continue  # origin; never a vertex
             seen.add(p)
@@ -403,12 +412,11 @@ def _assemble(reps, kernel, keep_order):
     vertices = tuple([points[i] for i in kept_reps]
                      + [points[i + k] for i in kept_reps])
 
-    # new_of increases on the corners, so cycles stay canonical and the
-    # facet layout holds
+    # new_of increases on the corners, so cycles stay canonical
     relabeled = [_hull.Facet(tuple([new_of[i] for i in f.cycle]), f.normal,
                              f.offset) for f in h.facets]
-    return SymPolytope(vertices, _build_lattice(len(vertices), relabeled),
-                       kernel)
+    lattice, _ = _build_lattice(len(vertices), relabeled)
+    return SymPolytope(vertices, lattice, kernel)
 
 
 def build_sym_polytope(points, tol=None, kernel=RATIONAL):

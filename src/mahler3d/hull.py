@@ -7,15 +7,10 @@ pair is found once: the planes through the 4 C(k, 3) pair triples
 (r_a, +-r_b, +-r_c), a < b < c, are tested for support against the k
 representatives alone, |u.r_j| <= h.  The polygon, Newell normal and
 orientation of a pair are computed on its member with the smaller sorted
-vertex key; the other member gets the mirrored, reversed cycle, the negated
-normal and the same offset.  Polygons come from a 2D monotone chain, which
-also classifies non-corner points as non-extreme.
-
-Facets are laid out like vertices: the F/2 pair members with the smaller
-sorted vertex key come first, sorted by that key, and then their antipodes
-in the same order, so facet f + F/2 is the antipode of facet f
-(``facet_layout``; ``polarity.polar`` lays out the polar's facets by the
-same rule).
+vertex key, and only that member is returned: ``geometry._build_lattice``
+builds every antipode (the mirrored, reversed cycle, the negated normal and
+the same offset) and lays the facets out.  Polygons come from a 2D monotone
+chain, which also classifies non-corner points as non-extreme.
 
 The same O(V^4) algorithm runs exactly (all sign tests exact, tolerances
 zero) or over float64 (sign tests against distance and area tolerances
@@ -80,26 +75,13 @@ class Facet:
 @dataclass(frozen=True)
 class Hull:
     corners: tuple        # sorted input indices of extreme points
-    facets: tuple         # Facet records in the facet layout
+    facets: tuple         # one Facet record per antipodal pair
 
 
 def coordinate_scale(points):
     """Largest |coordinate| of a point list: every double-kernel tolerance
     (plane residuals, point identification, vertex drift) is relative to it."""
     return float(max(abs(c) for p in points for c in p))
-
-
-def facet_layout(cycles):
-    """Order of 2K facet cycles, given as K cycles and then their antipodes
-    (cycles[i + K] is the antipode of cycles[i]), that puts them in the
-    facet layout: the member of each pair with the smaller sorted vertex key
-    first, pairs sorted by that key, then the mirrors in the same order.
-    Facet f + K of the result is then the antipode of facet f."""
-    K = len(cycles) // 2
-    keys = [sorted(c) for c in cycles]
-    firsts = sorted([i if keys[i] < keys[i + K] else i + K for i in range(K)],
-                    key=keys.__getitem__)
-    return firsts + [(i + K) % (2 * K) for i in firsts]
 
 
 def affine_dim(points, tol2=0):
@@ -302,11 +284,9 @@ def hull_3d(points, exact, dist_tol=None):
 
     Each antipodal facet pair is found once, through a triple of pair
     points; its polygon, Newell normal and orientation are computed on the
-    member with the smaller sorted vertex key, and the other member gets the
-    mirrored, reversed cycle, the negated normal and the same offset.
-    ``Hull.facets`` is in the facet layout: those F/2 members sorted by key,
-    then their antipodes in the same order, so facet f + F/2 is the
-    antipode of facet f.
+    member with the smaller sorted vertex key.  ``Hull.facets`` holds those
+    F/2 members, in the order found, and ``Hull.corners`` their vertices
+    and the antipodes of those.
 
     exact=True takes rational coordinates (``Fraction`` or ``int``), decides
     every predicate, the layout check included, on their integer images and
@@ -347,7 +327,6 @@ def hull_3d(points, exact, dist_tol=None):
         first.setdefault(tuple(p), i)
     anti = [first[tuple(points[(i + k) % n])] for i in range(n)]
     facets = []
-    mirrors = []
     for inc, nrm, _ in raw:
         keep = _project_axis(nrm)
         idxs = sorted(inc)
@@ -386,12 +365,9 @@ def hull_3d(points, exact, dist_tol=None):
             normal = (nw[0] / nn, nw[1] / nn, nw[2] / nn)
             offset = sum([dot(normal, points[i]) for i in cycle]) / len(cycle)
         facets.append(Facet(_canonical_cycle(cycle), normal, offset))
-        mirrors.append(Facet(_canonical_cycle(tuple([anti[i] for i in cycle[::-1]])),
-                             neg(normal), offset))
 
-    facets += mirrors
-    if len(facets) < 4:
-        raise NumericalDegeneracy(f"only {len(facets)} certified facets")
-    order = facet_layout([f.cycle for f in facets])
-    return Hull(corners=tuple(sorted({i for f in facets for i in f.cycle})),
-                facets=tuple([facets[i] for i in order]))
+    if len(facets) < 2:
+        raise NumericalDegeneracy(f"only {2 * len(facets)} certified facets")
+    return Hull(corners=tuple(sorted({j for f in facets for i in f.cycle
+                                      for j in (i, anti[i])})),
+                facets=tuple(facets))

@@ -11,7 +11,8 @@ set and compares lattices.
 Both layouts carry over: polar vertex f is n_f/h_f for facet f of the
 input, so the facet layout (facet f + F/2 is the antipode of f) becomes the
 vertex layout of the polar, and the polar's facets, one per input vertex,
-are laid out by ``hull.facet_layout``.
+are built from the k representatives' rings and laid out by
+``geometry._build_lattice``, as the hull's are.
 """
 
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import geometry as G
 from .errors import DualityViolation
-from .hull import Facet, _canonical_cycle, dot, facet_layout, neg
+from .hull import Facet, _canonical_cycle, dot, neg
 
 MAHLER_BOUND = Fraction(32, 3)
 
@@ -44,10 +45,10 @@ def polar(P):
     original vertex v is v's facet ring reversed: ``vertex_facet_cycles``
     walks every ring clockwise seen from outside along v, so the reversed
     ring turns counterclockwise about the polar facet's outward normal v.
-    It is computed for the representatives only: the cycle of v + k is the
-    mirror of v's, reversed.  The facets are in the facet layout, and
-    ``Q._primal_vertex_of_facet[j]`` is the vertex of ``P`` that facet j of
-    the polar belongs to.
+    It is computed for the representatives only: ``_build_lattice`` builds
+    the cycle of v + k as the mirror of v's, reversed, and lays the facets
+    out, and ``Q._primal_vertex_of_facet[j]`` is the vertex of ``P`` that
+    facet j of the polar belongs to.
     """
     lat = P.lattice
     K = lat.F // 2
@@ -57,26 +58,20 @@ def polar(P):
     vertices = tuple(reps) + tuple([neg(p) for p in reps])
 
     rings = lat.vertex_facet_cycles()
-    k = P.n_pairs
-    facets = []
-    mirrors = []
-    for v in range(k):
-        cyc = tuple(reversed(rings[v]))
+    facets = []    # facets[v] and its antipode belong to vertices v, v + k of P
+    for v in range(P.n_pairs):
         pv = P.vertices[v]
         if P.kernel == G.RATIONAL:
             normal, offset = pv, Fraction(1)
         else:
             L = float(dot(pv, pv)) ** 0.5
             normal, offset = (pv[0] / L, pv[1] / L, pv[2] / L), 1.0 / L
-        mirror = tuple([(a + K) % (2 * K) for a in rings[v]])
-        facets.append(Facet(_canonical_cycle(cyc), normal, offset))
-        mirrors.append(Facet(_canonical_cycle(mirror), neg(normal), offset))
-    facets += mirrors    # facets[v] belongs to vertex v of P
-    order = facet_layout([f.cycle for f in facets])
-    lattice = G._build_lattice(2 * K, [facets[v] for v in order])
+        facets.append(Facet(_canonical_cycle(tuple(reversed(rings[v]))),
+                            normal, offset))
+    lattice, order = G._build_lattice(2 * K, facets)
     Q = G.SymPolytope(vertices, lattice, P.kernel)
     # bookkeeping for the order reversal, consumed by verify_incidence_duality
-    Q._primal_vertex_of_facet = tuple(order)
+    Q._primal_vertex_of_facet = order
     return Q
 
 

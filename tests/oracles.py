@@ -145,6 +145,43 @@ def facet_layout(facets):
     return tuple(firsts + [by_normal[tuple(-c for c in f[1])] for f in firsts])
 
 
+def vertex_facet_rings(lattice):
+    """Every vertex's facet ring by the walk through the edge labels: from
+    facet f the edge {v, w} that leaves v in f's cycle is looked up among
+    the lattice's sorted edges and its other owner in ``phi2`` is the next
+    facet.  Rings start at the first facet through v and are walked for
+    v < V/2; the ring of v + V/2 is the mirrored ring of v, reversed and
+    rotated to start at its smallest facet."""
+    n = lattice.n_vertices
+    edge_label = {e: k for k, e in enumerate(lattice.edges)}
+    nxt = {}  # (facet, vertex) -> successor vertex in that facet's cycle
+    incident = [[] for _ in range(n)]
+    for f, cyc in enumerate(lattice.facet_cycles):
+        for a in range(len(cyc)):
+            nxt[(f, cyc[a])] = cyc[(a + 1) % len(cyc)]
+            incident[cyc[a]].append(f)
+    out = []
+    for v in range(n // 2):
+        start = incident[v][0]
+        ring = [start]
+        f = start
+        while True:
+            w = nxt[(f, v)]
+            a, b = lattice.phi2[edge_label[(min(v, w), max(v, w))]]
+            f = b if a == f else a
+            if f == start:
+                break
+            ring.append(f)
+            assert len(ring) <= len(incident[v]), "ring does not close"
+        assert len(ring) == len(incident[v]), "ring misses facets"
+        out.append(tuple(ring))
+    for ring in out[:n // 2]:
+        mirror = [lattice.opposite_facet[f] for f in reversed(ring)]
+        first = mirror.index(min(mirror))
+        out.append(tuple(mirror[first:] + mirror[:first]))
+    return tuple(out)
+
+
 def polar_vertices_halfspace(points, tol=1e-9):
     """Vertices of conv(points)^polar via scipy HalfspaceIntersection."""
     pts = np.asarray(points, dtype=float)

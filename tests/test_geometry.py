@@ -7,7 +7,7 @@ from scipy.spatial import ConvexHull
 import mahler3d as M
 from mahler3d import _kernels, geometry as G, hull
 from mahler3d.errors import (DegenerateInput, InputError,
-                             InternalInconsistency, SingularMatrix,
+                             NumericalDegeneracy, SingularMatrix,
                              ToleranceConflict)
 
 import oracles
@@ -223,15 +223,73 @@ def test_facet_layout_mirrors_at_half(kernel, cubocta_r, cubocta_d):
             assert M.volume(P) == pytest.approx(full, rel=1e-13)
 
 
-def test_build_lattice_rejects_a_swapped_facet(cubocta_r, cubocta_d):
-    for P in (cubocta_r, cubocta_d):
+@pytest.mark.parametrize("seed", range(4))
+def test_build_lattice_takes_either_member_of_each_pair(seed, cubocta_r,
+                                                        cubocta_d, corpus50):
+    rng = np.random.default_rng(seed)
+    for P in (cubocta_r, cubocta_d, *corpus50[:10]):
         lat = P.lattice
+        K = lat.F // 2
         facets = [hull.Facet(c, n, h)
                   for c, (n, h) in zip(lat.facet_cycles, lat.facet_planes)]
-        assert G._build_lattice(P.V, facets).facet_cycles == lat.facet_cycles
-        facets[0], facets[1] = facets[1], facets[0]
-        with pytest.raises(InternalInconsistency, match="not its antipode"):
-            G._build_lattice(P.V, facets)
+        flip = rng.random(K) < 0.5
+        got, order = G._build_lattice(
+            P.V, [facets[f + K] if flip[f] else facets[f] for f in range(K)])
+        assert got.facet_cycles == lat.facet_cycles
+        assert got.facet_planes == lat.facet_planes
+        # order names the member each facet was built from: pairs[f] when
+        # it was passed, its antipode (index f + K) when the other one was
+        assert order == tuple([f + K * bool(flip[f]) for f in range(K)]
+                              + [f + K * (not flip[f]) for f in range(K)])
+
+
+def _octahedron_pairs(p, a1, a2, a3, a4):
+    """The four facets through apex p of the octahedron with apices p, -p
+    and equator a1 a2 a3 a4 (a3 = -a1, a4 = -a2), outward and canonical;
+    their antipodes are the four facets through -p."""
+    plane = ((Fraction(1), Fraction(0), Fraction(0)), Fraction(1))
+    return [hull.Facet(hull._canonical_cycle(c), *plane)
+            for c in ((p, a1, a2), (p, a2, a3), (p, a3, a4), (p, a4, a1))]
+
+
+def test_lattice_guards_reject_hand_made_facet_lists():
+    # The octahedron: apices 0 and 3, equator 1 2 4 5.
+    octa = _octahedron_pairs(0, 1, 2, 4, 5)
+    lat, _ = G._build_lattice(6, octa)
+    assert lat.vertex_facet_cycles() == oracles.vertex_facet_rings(lat)
+    with pytest.raises(NumericalDegeneracy, match="not shared by exactly two"):
+        G._build_lattice(6, octa[:3])
+    # Two disjoint octahedra: V - E + F = 12 - 24 + 16 = 4.
+    with pytest.raises(NumericalDegeneracy, match="Euler check failed"):
+        G._build_lattice(12, _octahedron_pairs(0, 1, 2, 7, 8)
+                         + _octahedron_pairs(3, 4, 5, 10, 11))
+    # Two octahedra pinched together at the apices 0 and 5: every edge has
+    # two facets and V - E + F = 10 - 24 + 16 = 2, but the ring around 0
+    # closes after the four facets of one octahedron.
+    pinched, _ = G._build_lattice(10, _octahedron_pairs(0, 1, 2, 6, 7)
+                                  + _octahedron_pairs(0, 3, 4, 8, 9))
+    with pytest.raises(NumericalDegeneracy, match="misses facets"):
+        pinched.vertex_facet_cycles()
+    # One pair turned inward: the edges still have two facets each, but
+    # the edge 0 -> 2 that leaves 0 in facet (0, 2, 1) has no reverse.
+    turned = [hull.Facet((0, 2, 1), f.normal, f.offset) if f.cycle == (0, 1, 2)
+              else f for f in octa]
+    lat, _ = G._build_lattice(6, turned)
+    with pytest.raises(NumericalDegeneracy, match="no reverse edge"):
+        lat.vertex_facet_cycles()
+
+
+@pytest.mark.parametrize("kernel", [M.RATIONAL, M.DOUBLE])
+def test_vertex_rings_match_the_edge_label_walk(kernel, cubocta_r, cubocta_d,
+                                                corpus50):
+    cubocta = cubocta_r if kernel == M.RATIONAL else cubocta_d
+    corpus = corpus50 if kernel == M.DOUBLE else [
+        M.snap_to_rational(P) for P in corpus50]
+    bodies = corpus + [M.polar(P) for P in corpus] + _layout_bodies(kernel,
+                                                                   cubocta)
+    for P in bodies:
+        assert P.lattice.vertex_facet_cycles() == \
+            oracles.vertex_facet_rings(P.lattice)
 
 
 @pytest.mark.parametrize("kernel", [M.RATIONAL, M.DOUBLE])

@@ -8,23 +8,33 @@ import numpy as np
 import pytest
 
 import mahler3d as M
-from mahler3d import _kernels, hull
+from mahler3d import _kernels, geometry as G, hull
 from mahler3d.errors import InputError, NumericalDegeneracy
 
 import oracles
 from conftest import CUBE_REPS
 
 
-def _assert_same_hull(points):
+def in_key_order(h):
+    """The hull's facets as (cycle, normal, offset), sorted by vertex set."""
+    return sorted([(f.cycle, f.normal, f.offset) for f in h.facets],
+                  key=lambda f: sorted(f[0]))
+
+
+def _assert_same_hull(points, paired=True):
+    """The exact hull returns one facet per antipodal pair, the first half
+    of the oracle's facet layout; ``paired`` also checks the lattice built
+    from them, which needs distinct points."""
     got = hull.hull_3d(points, True)
     corners, facets = oracles.fraction_hull(points)
     facets = oracles.facet_layout(facets)
     assert got.corners == corners
-    assert [f.cycle for f in got.facets] == [f[0] for f in facets]
-    for f, (_, normal, offset) in zip(got.facets, facets):
-        assert f.normal == normal and f.offset == offset
+    assert in_key_order(got) == list(facets[:len(facets) // 2])
+    for f in got.facets:
         assert all(type(c) is Fraction for c in f.normal)
         assert type(f.offset) is Fraction
+    if paired:
+        assert_antipodal_pairs(got, len(points))
     return got
 
 
@@ -40,18 +50,25 @@ def _rotated(reps, seed):
 
 
 def assert_antipodal_pairs(h, n):
-    """Facets come in exact antipodal pairs, facet i + F/2 the antipode of
-    facet i, and the corners are closed under the pairing i <-> i + n/2."""
+    """The corners are closed under the pairing i <-> i + n/2, and the
+    lattice built from the hull's facets, one per pair, relabeled to the
+    corners, has facet i + F/2 the exact antipode of facet i.  Returns
+    that lattice."""
     k = n // 2
-    F = len(h.facets)
     assert set(h.corners) == {(i + k) % n for i in h.corners}
-    assert F % 2 == 0
-    for i, f in enumerate(h.facets):
-        g = h.facets[(i + F // 2) % F]
-        assert g.cycle == hull._canonical_cycle(
-            tuple([(v + k) % n for v in reversed(f.cycle)]))
-        assert g.normal == tuple(-c for c in f.normal)
-        assert g.offset == f.offset
+    label = {v: a for a, v in enumerate(h.corners)}
+    lat, _ = G._build_lattice(len(h.corners), [
+        hull.Facet(tuple([label[v] for v in f.cycle]), f.normal, f.offset)
+        for f in h.facets])
+    m, F = lat.V, lat.F
+    assert F == 2 * len(h.facets)
+    for i, (cycle, (normal, offset)) in enumerate(zip(lat.facet_cycles,
+                                                      lat.facet_planes)):
+        g = (i + F // 2) % F
+        assert lat.facet_cycles[g] == hull._canonical_cycle(
+            tuple([(v + m // 2) % m for v in reversed(cycle)]))
+        assert lat.facet_planes[g] == (tuple(-c for c in normal), offset)
+    return lat
 
 
 def _sphere(n_pairs, rng):
@@ -74,8 +91,7 @@ def test_dyadic_bodies_and_their_polars(bits):
         assert len(h.corners) == 2 * n_pairs
         # The polar's vertices n/h, one per antipodal facet pair, have
         # non-dyadic denominators.
-        polar = [tuple(c / f.offset for c in f.normal)
-                 for f in h.facets[:len(h.facets) // 2]]
+        polar = [tuple(c / f.offset for c in f.normal) for f in h.facets]
         assert any(c.denominator & (c.denominator - 1) for p in polar for c in p)
         _assert_same_hull(_symmetric(polar))
 
@@ -93,7 +109,7 @@ def test_mixed_denominators():
 def test_cube_quadrilaterals(scale):
     h = _assert_same_hull(_symmetric([tuple(scale * c for c in p)
                                       for p in CUBE_REPS]))
-    assert [len(f.cycle) for f in h.facets] == [4] * 6
+    assert [len(f.cycle) for f in h.facets] == [4] * 3
 
 
 def test_bodies_at_exact_breakpoints(cubocta_r):
@@ -111,7 +127,8 @@ def test_bodies_at_exact_breakpoints(cubocta_r):
         for t in M.persistence_root(P, th, alpha):
             moved = [tuple(x[c] + t * a * u[c] for c in range(3))
                      for x, a in zip(P.vertices, alpha.alpha)]
-            h = _assert_same_hull(moved)
+            # A pair that moves onto another keeps its first label.
+            h = _assert_same_hull(moved, paired=False)
             assert [f.cycle for f in h.facets] != [f.cycle for f in start.facets]
 
 
@@ -120,7 +137,7 @@ def test_non_symmetric_list_is_rejected(exact):
     reps = [tuple(Fraction(c) if exact else float(c) for c in p)
             for p in CUBE_REPS]
     good = _symmetric(reps)
-    assert len(hull.hull_3d(good, exact).facets) == 6
+    assert len(hull.hull_3d(good, exact).facets) == 3
     shifted = good[:-1] + [tuple(c + 1 for c in good[-1])]
     for points in (good[:-1], shifted, good + [good[0]], good[:4] + good[:3:-1]):
         with pytest.raises(InputError):
@@ -145,7 +162,7 @@ def test_splintered_facet_merges_with_its_mirror(seed):
     h = hull.hull_3d(points, False, dist_tol=tol)
     assert_antipodal_pairs(h, len(points))
     quads = [f.cycle for f in h.facets if len(f.cycle) == 4]
-    assert [sorted(c) for c in quads] == [[0, 1, 2, 3], [6, 7, 8, 9]]
+    assert [sorted(c) for c in quads] == [[0, 1, 2, 3]]
     # Below delta the fold is two triangles, above 10 delta one plane.
     h = hull.hull_3d(points, False, dist_tol=DELTA / 2)
     assert all(len(f.cycle) == 3 for f in h.facets)
