@@ -12,9 +12,11 @@ rational kernel, 17 significant digits on the double kernel.
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -67,7 +69,7 @@ def _manifest(args, kernel):
 
 
 def _write_json(obj, out):
-    text = json.dumps(obj, indent=2) + "\n"
+    text = json.dumps(_jsonable(obj), indent=2) + "\n"
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -86,14 +88,6 @@ def _write_csv(path, header, rows, manifest):
     finally:
         if path:
             fh.close()
-
-
-def _kernel(args):
-    return G.RATIONAL if args.kernel == "rational" else G.DOUBLE
-
-
-def _load(args, kernel):
-    return G.load_polytope(args.input, kernel=kernel, tol=args.tol)
 
 
 def _parse_theta(text):
@@ -120,111 +114,66 @@ def _parse_speed(text, P):
     return SH.speed_vector(P, vals)
 
 
-def _cmd_analyze(args):
-    kernel = _kernel(args)
-    P = _load(args, kernel)
+# Each command maps (body, args) to (JSON fields, CSV (header, rows)), either
+# of them None; the body is None when no input was given.
+
+def _analyze(P, args):
     lat = P.lattice
-    out = {
-        "manifest": _manifest(args, kernel),
-        "kernel": kernel,
+    return {
+        "kernel": P.kernel,
         "n_vertices": lat.V,
         "n_edges": lat.E,
         "n_facets": lat.F,
         "euler_characteristic": lat.V - lat.E + lat.F,
-        "facet_size_census": {str(k): v
-                              for k, v in sorted(lat.facet_size_census().items())},
+        "facet_size_census": dict(sorted(lat.facet_size_census().items())),
         "volume": G.volume(P),
         "inradius": P.inradius(),
         "circumradius": P.circumradius(),
         "polytope": P.to_json_dict(),
-    }
-    _write_json(_jsonable(out), args.out)
+    }, None
 
 
-def _report_dict(rep):
-    return {
-        "volume_primal": rep.volume_primal,
-        "volume_polar": rep.volume_polar,
-        "product": rep.product,
-        "santalo_point": rep.santalo_point,
-        "mahler_gap": rep.mahler_gap,
-        "kernel": rep.kernel,
-    }
-
-
-def _cmd_polar(args):
-    kernel = _kernel(args)
-    P = _load(args, kernel)
+def _polar(P, args):
     Q = PO.polar(P)
-    out = {
-        "manifest": _manifest(args, kernel),
-        "report": _report_dict(PO.volume_product(P)),
-        "polar": Q.to_json_dict(),
-    }
-    _write_json(_jsonable(out), args.out)
+    return {"report": asdict(PO.volume_product(P)),
+            "polar": Q.to_json_dict()}, None
 
 
-def _cmd_product(args):
-    kernel = _kernel(args)
-    P = _load(args, kernel)
-    out = {"manifest": _manifest(args, kernel)}
-    out.update(_report_dict(PO.volume_product(P)))
-    _write_json(_jsonable(out), args.out)
+def _product(P, args):
+    return asdict(PO.volume_product(P)), None
 
 
-def _cmd_speeds(args):
-    kernel = _kernel(args)
-    P = _load(args, kernel)
-    theta = _parse_theta(args.theta)
-    rep = CB.dimension_bound(P, theta)
-    out = {
-        "manifest": _manifest(args, kernel),
+def _speeds(P, args):
+    rep = CB.dimension_bound(P, _parse_theta(args.theta))
+    return {
         "dim": int(rep.dim_actual),
         "bound": int(rep.bound),
         "c_theta": rep.c_theta,
         "nontrivial": rep.nontrivial_certified,
         "basis": [sv.alpha for sv in rep.space.basis],
         "trivial_basis": [sv.alpha for sv in rep.space.trivial_basis],
-    }
-    _write_json(_jsonable(out), args.out)
+    }, None
 
 
 def _sweep_directions(P, n, seed):
-    lat = P.lattice
-    dirs, used = [], set()
-
-    def push(d):
-        key = OPT._direction_key(d)
-        if key not in used:
-            used.add(key)
-            dirs.append(d)
-
-    for f in range(lat.F // 2):
-        if lat.m(f) > 3:
-            try:
-                push(CB.in_plane_direction(P, f))
-            except MahlerError:
-                pass
-    for i, j in lat.edges:
-        try:
-            push(SH.direction(tuple([b - a for a, b in
-                                     zip(P.vertices[i], P.vertices[j])])))
-        except InputError:
-            pass
+    """The structural directions of ``P`` (``CB._structural_directions`` over
+    every edge), then random integer directions from ``seed``, without
+    repeats, cut to ``n``."""
+    dirs = {}
+    for d in CB._structural_directions(P, P.lattice.edges):
+        dirs.setdefault(OPT._direction_key(d), d)
     rng = np.random.default_rng(seed)
-    guard = 0
-    while len(dirs) < n and guard < 50 * n:
-        guard += 1
+    for _ in range(50 * n):
+        if len(dirs) >= n:
+            break
         v = tuple([int(c) for c in rng.integers(-9, 10, size=3)])
-        if v == (0, 0, 0):
-            continue
-        push(SH.direction(v))
-    return dirs[:max(n, 0)]
+        if v != (0, 0, 0):
+            d = SH.direction(v)
+            dirs.setdefault(OPT._direction_key(d), d)
+    return list(dirs.values())[:max(n, 0)]
 
 
-def _cmd_bound_sweep(args):
-    kernel = _kernel(args)
-    P = _load(args, kernel)
+def _bound_sweep(P, args):
     dirs = _sweep_directions(P, args.dirs, args.seed)
     rows = []
     # a direction whose parallel set or rows cannot be decided is left out;
@@ -236,26 +185,15 @@ def _cmd_bound_sweep(args):
         tx, ty, tz = (format(float(x), ".17g") for x in th.theta)
         rows.append([tx, ty, tz, str(rep.c_theta), rep.bound, rep.dim_actual,
                      str(bool(rep.nontrivial_certified)).lower()])
-    _write_csv(args.csv, ["theta_x", "theta_y", "theta_z", "c_theta",
-                          "bound", "dim", "nontrivial"],
-               rows, _manifest(args, kernel))
+    return None, (["theta_x", "theta_y", "theta_z", "c_theta", "bound", "dim",
+                   "nontrivial"], rows)
 
 
-def _cmd_classify(args):
-    kernel = _kernel(args)
-    P = _load(args, kernel)
-    cls = CB.classify_minimizer_candidate(P)
-    out = {
-        "manifest": _manifest(args, kernel),
-        "verdict": cls.verdict,
-        "evidence": cls.evidence,
-    }
-    _write_json(_jsonable(out), args.out)
+def _classify(P, args):
+    return asdict(CB.classify_minimizer_candidate(P)), None
 
 
-def _cmd_deform(args):
-    kernel = _kernel(args)
-    P = _load(args, kernel)
+def _deform(P, args):
     theta = _parse_theta(args.theta)
     if args.speed:
         alpha = _parse_speed(args.speed, P)
@@ -270,11 +208,11 @@ def _cmd_deform(args):
             c = Fraction(args.t_max)
         except (ValueError, ZeroDivisionError) as e:
             raise InputError(f"bad --t-max: {e}")
-        if kernel == G.DOUBLE:
+        if P.kernel == G.DOUBLE:
             c = float(c)
     else:
         c = SH.persistence_interval(P, theta, alpha)
-    ts = SH.sample_grid(c, args.samples, kernel == G.RATIONAL)
+    ts = SH.sample_grid(c, args.samples, P.kernel == G.RATIONAL)
     rows = []
     # Full re-hull per row, not SH.frozen_product: on frozen cycles the
     # volume is affine by construction and the CSV could not test it.
@@ -284,71 +222,65 @@ def _cmd_deform(args):
         pvol = G.volume(PO.polar(Q))
         rows.append([_jsonable(t), _jsonable(vol), _jsonable(pvol),
                      _jsonable(vol * pvol)])
-    _write_csv(args.csv, ["t", "volume", "polar_volume", "product"],
-               rows, _manifest(args, kernel))
+    return None, (["t", "volume", "polar_volume", "product"], rows)
 
 
-def _cmd_optimize(args):
-    kernel = _kernel(args)
-    if args.input:
-        P0 = _load(args, kernel)
-    else:
+def _optimize(P0, args):
+    if P0 is None:
         pairs = args.pairs if args.pairs else max(3, args.n_max // 2)
         P0 = OPT.random_symmetric_polytope(pairs, seed=args.seed,
-                                           kernel=kernel)
+                                           kernel=args.kernel)
     cfg = OPT.DescentConfig(max_vertices=args.n_max,
                             direction_budget=args.direction_budget,
                             termination_tol=args.termination_tol,
                             seed=args.seed, max_iters=args.max_iters)
     tr = OPT.descend(P0, cfg)
-    manifest = _manifest(args, kernel)
-    steps = []
-    for i, s in enumerate(tr.steps):
-        steps.append({
-            "step": i + 1,
-            "side": s.side,
-            "theta": _jsonable(s.theta.theta),
-            "alpha": _jsonable(s.alpha.alpha),
-            "t": _jsonable(s.t),
-            "product_before": _jsonable(s.product_before),
-            "product_after": _jsonable(s.product_after),
-            "snapshot": _jsonable(s.snapshot),
-        })
-    out = {
-        "manifest": manifest,
-        "start": _jsonable(P0.to_json_dict()),
-        "steps": steps,
-        "final": _jsonable(tr.final.to_json_dict()),
-        "final_classification": {
-            "verdict": tr.final_classification.verdict,
-            "evidence": _jsonable(tr.final_classification.evidence),
-        },
-        "final_gap": _jsonable(tr.final_gap),
+    fields = {
+        "start": P0.to_json_dict(),
+        "steps": [{"step": i + 1, "side": s.side, "theta": s.theta.theta,
+                   "alpha": s.alpha.alpha, "t": s.t,
+                   "product_before": s.product_before,
+                   "product_after": s.product_after, "snapshot": s.snapshot}
+                  for i, s in enumerate(tr.steps)],
+        "final": tr.final.to_json_dict(),
+        "final_classification": asdict(tr.final_classification),
+        "final_gap": tr.final_gap,
         "stall_with_nontrivial_speed": tr.stall_with_nontrivial_speed,
-        "meta": _jsonable(tr.meta),
+        "meta": tr.meta,
     }
-    _write_json(out, args.out)
-    if args.csv:
-        bound = float(Fraction(32, 3))
-        start_prod = (tr.steps[0].product_before if tr.steps
-                      else bound + tr.final_gap)
-        rows = [[0, format(start_prod, ".17g"),
-                 format(start_prod - bound, ".17g"), "", "", ""]]
-        for i, s in enumerate(tr.steps):
-            theta_txt = " ".join(format(float(x), ".17g") for x in s.theta.theta)
-            rows.append([i + 1, format(s.product_after, ".17g"),
-                         format(s.product_after - bound, ".17g"),
-                         s.side, theta_txt, format(s.t, ".17g")])
-        _write_csv(args.csv, ["step", "product", "gap", "move_side",
-                              "theta", "t"], rows, manifest)
+    if not args.csv:
+        return fields, None
+    bound = float(Fraction(32, 3))
+    start_prod = (tr.steps[0].product_before if tr.steps
+                  else bound + tr.final_gap)
+    rows = [[0, format(start_prod, ".17g"),
+             format(start_prod - bound, ".17g"), "", "", ""]]
+    for i, s in enumerate(tr.steps):
+        theta_txt = " ".join(format(float(x), ".17g") for x in s.theta.theta)
+        rows.append([i + 1, format(s.product_after, ".17g"),
+                     format(s.product_after - bound, ".17g"),
+                     s.side, theta_txt, format(s.t, ".17g")])
+    return fields, (["step", "product", "gap", "move_side", "theta", "t"], rows)
 
 
-def _cmd_corpus(args):
-    summary = OPT.corpus_verify(args.count, n_pairs_max=args.pairs_max,
-                                seed=args.seed)
-    out = {"manifest": _manifest(args, G.DOUBLE)}
-    out.update(_jsonable(summary))
-    _write_json(out, args.out)
+def _corpus(_, args):
+    return OPT.corpus_verify(args.count, n_pairs_max=args.pairs_max,
+                             seed=args.seed), None
+
+
+def _run(args):
+    """Load the body of ``args.input``, if any, on ``--kernel`` with
+    ``--tol``, run the command on it, and write its JSON fields to ``--out``
+    and its CSV to ``--csv``, each with the run manifest first."""
+    kernel = getattr(args, "kernel", G.DOUBLE)
+    body = (G.load_polytope(args.input, kernel=kernel, tol=args.tol)
+            if getattr(args, "input", None) else None)
+    fields, table = args.func(body, args)
+    manifest = _manifest(args, kernel)
+    if fields is not None:
+        _write_json({"manifest": manifest, **fields}, args.out)
+    if table is not None:
+        _write_csv(args.csv, *table, manifest)
 
 
 def _add_common(sp, kernel_default, with_out=True):
@@ -363,6 +295,33 @@ def _add_common(sp, kernel_default, with_out=True):
         sp.add_argument("--out", default=None, help="output path (default stdout)")
 
 
+_CSV = ("--csv", dict(default=None, help="CSV path (default stdout)"))
+
+# (name, help, command, options between the input and --kernel) of the
+# commands on one input body; a command with --csv has no --out.
+_BODY_COMMANDS = (
+    ("analyze", "face lattice and volume summary", _analyze, ()),
+    ("polar", "polar dual plus volume product report", _polar, ()),
+    ("product", "volume product report", _product, ()),
+    ("speeds", "admissible speed space for a direction", _speeds,
+     (("--theta", dict(required=True, help="x,y,z (fractions allowed)")),)),
+    ("bound-sweep", "dimension bound report over many directions",
+     _bound_sweep, (("--dirs", dict(type=int, default=64)),
+                    ("--seed", dict(type=int, default=0)), _CSV)),
+    ("classify", "minimizer candidate classification", _classify, ()),
+    ("deform", "volume/product trajectory along a shadow system", _deform,
+     (("--theta", dict(required=True)),
+      ("--speed", dict(default=None,
+                       help="comma-separated values, one per vertex pair "
+                            "(default: a certified non-trivial speed)")),
+      ("--t-max", dict(default=None,
+                       help="half-width of the t range (default: certified "
+                            "persistence interval)")),
+      ("--samples", dict(type=int, default=21)), _CSV)),
+)
+
+
+@functools.lru_cache(maxsize=None)
 def _build_parser():
     p = argparse.ArgumentParser(
         prog="mahler3d",
@@ -371,55 +330,13 @@ def _build_parser():
                     "bounds, minimizer classification, descent.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("analyze", help="face lattice and volume summary")
-    sp.add_argument("input")
-    _add_common(sp, "rational")
-    sp.set_defaults(func=_cmd_analyze)
-
-    sp = sub.add_parser("polar", help="polar dual plus volume product report")
-    sp.add_argument("input")
-    _add_common(sp, "rational")
-    sp.set_defaults(func=_cmd_polar)
-
-    sp = sub.add_parser("product", help="volume product report")
-    sp.add_argument("input")
-    _add_common(sp, "rational")
-    sp.set_defaults(func=_cmd_product)
-
-    sp = sub.add_parser("speeds", help="admissible speed space for a direction")
-    sp.add_argument("input")
-    sp.add_argument("--theta", required=True, help="x,y,z (fractions allowed)")
-    _add_common(sp, "rational")
-    sp.set_defaults(func=_cmd_speeds)
-
-    sp = sub.add_parser("bound-sweep",
-                        help="dimension bound report over many directions")
-    sp.add_argument("input")
-    sp.add_argument("--dirs", type=int, default=64)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--csv", default=None, help="CSV path (default stdout)")
-    _add_common(sp, "rational", with_out=False)
-    sp.set_defaults(func=_cmd_bound_sweep)
-
-    sp = sub.add_parser("classify", help="minimizer candidate classification")
-    sp.add_argument("input")
-    _add_common(sp, "rational")
-    sp.set_defaults(func=_cmd_classify)
-
-    sp = sub.add_parser("deform",
-                        help="volume/product trajectory along a shadow system")
-    sp.add_argument("input")
-    sp.add_argument("--theta", required=True)
-    sp.add_argument("--speed", default=None,
-                    help="comma-separated values, one per vertex pair "
-                         "(default: a certified non-trivial speed)")
-    sp.add_argument("--t-max", default=None,
-                    help="half-width of the t range (default: certified "
-                         "persistence interval)")
-    sp.add_argument("--samples", type=int, default=21)
-    sp.add_argument("--csv", default=None, help="CSV path (default stdout)")
-    _add_common(sp, "rational", with_out=False)
-    sp.set_defaults(func=_cmd_deform)
+    for name, help_text, func, options in _BODY_COMMANDS:
+        sp = sub.add_parser(name, help=help_text)
+        sp.add_argument("input")
+        for flag, kw in options:
+            sp.add_argument(flag, **kw)
+        _add_common(sp, "rational", with_out=_CSV not in options)
+        sp.set_defaults(func=func)
 
     sp = sub.add_parser("optimize", help="volume product descent")
     sp.add_argument("--input", default=None,
@@ -432,14 +349,14 @@ def _build_parser():
     sp.add_argument("--termination-tol", type=float, default=1e-9)
     sp.add_argument("--csv", default=None, help="per-step trajectory CSV")
     _add_common(sp, "double")
-    sp.set_defaults(func=_cmd_optimize)
+    sp.set_defaults(func=_optimize)
 
     sp = sub.add_parser("corpus", help="random-body property verification")
     sp.add_argument("--count", type=int, default=200)
     sp.add_argument("--pairs-max", type=int, default=6)
     sp.add_argument("--seed", type=int, default=2024)
     sp.add_argument("--out", default=None)
-    sp.set_defaults(func=_cmd_corpus)
+    sp.set_defaults(func=_corpus)
 
     return p
 
@@ -458,7 +375,7 @@ def _emit_error(e):
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        args.func(args)
+        _run(args)
     except FindingError as e:
         _emit_error(e)
         return 2

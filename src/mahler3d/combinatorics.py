@@ -22,7 +22,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import geometry as G, polarity as PO, shadow as SH
-from .errors import BoundViolation, InternalInconsistency
+from .errors import (BoundViolation, InputError, InternalInconsistency,
+                     MahlerError)
 from .hull import sub
 
 PARALLELEPIPED = "Parallelepiped"
@@ -183,6 +184,26 @@ def _adjacent_quad_edges(lat):
     for (i, j), (f1, f2) in zip(lat.edges, lat.phi2):
         if lat.m(f1) == 4 and lat.m(f2) == 4:
             yield i, j
+
+
+def _structural_directions(B, edges):
+    """The in-plane direction of each non-triangular facet pair of ``B``,
+    then the direction from i to j of each edge (i, j) in ``edges``; a facet
+    or edge without a direction is left out."""
+    lat = B.lattice
+    dirs = []
+    for k in range(lat.F // 2):
+        if lat.m(k) > 3:
+            try:
+                dirs.append(in_plane_direction(B, k))
+            except MahlerError:
+                pass
+    for i, j in edges:
+        try:
+            dirs.append(SH.direction(sub(B.vertices[j], B.vertices[i])))
+        except InputError:
+            pass
+    return dirs
 
 
 def _decide(lat):

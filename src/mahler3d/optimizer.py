@@ -25,9 +25,8 @@ import numpy as np
 
 from . import combinatorics as CB, geometry as G, polarity as PO, shadow as SH
 from .errors import (CounterexampleAlarm, DegenerateDeformation,
-                     GenerationFailure, InputError, InternalInconsistency,
-                     NoPersistence, NumericalDegeneracy, ParallelismAmbiguity)
-from .hull import sub
+                     GenerationFailure, InputError, NoPersistence,
+                     NumericalDegeneracy, ParallelismAmbiguity)
 
 
 @dataclass(frozen=True)
@@ -110,27 +109,11 @@ def _candidate_directions(P, Q, cfg, rng):
             v = np.array([1.0, 0.0, 0.0])
         dirs.append(SH.direction(tuple([float(x) for x in v])))
     for B in (P, Q):
-        lat = B.lattice
-        for k in range(lat.F // 2):
-            if lat.m(k) <= 3:
-                continue
-            try:
-                dirs.append(CB.in_plane_direction(B, k))
-            except (InternalInconsistency, ParallelismAmbiguity):
-                pass
-        for i, j in CB._adjacent_quad_edges(lat):
-            try:
-                dirs.append(SH.direction(sub(B.vertices[j], B.vertices[i])))
-            except InputError:
-                pass
-    uniq = []
-    used = set()
+        dirs += CB._structural_directions(B, CB._adjacent_quad_edges(B.lattice))
+    uniq = {}
     for d in dirs:
-        k = _direction_key(d)
-        if k not in used:
-            used.add(k)
-            uniq.append(d)
-    return uniq
+        uniq.setdefault(_direction_key(d), d)
+    return list(uniq.values())
 
 
 def _candidates(P, Q, cfg, rng):

@@ -457,11 +457,11 @@ def _trivial_frame(S):
     return np.linalg.qr(T)[0]
 
 
-def _in_frame(frame, b, tol=1e-9):
+def _in_frame(frame, b):
     """Whether the float vector ``b`` lies in the span of the orthonormal
-    columns of ``frame``, up to a residual <= tol x ||b||."""
+    columns of ``frame``, up to a residual <= 1e-9 x ||b||."""
     r = b - frame @ (frame.T @ b)
-    return float(np.linalg.norm(r)) <= tol * float(np.linalg.norm(b))
+    return float(np.linalg.norm(r)) <= 1e-9 * float(np.linalg.norm(b))
 
 
 def _sumprod(a, b):
@@ -504,11 +504,11 @@ def _off_trivial(S, speeds, exact):
     return out
 
 
-def is_trivial(S, alpha, tol=1e-9):
+def is_trivial(S, alpha):
     """Whether ``alpha`` lies in the span of the globally affine speeds, up
-    to a float residual <= tol x ||alpha||."""
+    to a float residual <= 1e-9 x ||alpha||."""
     alpha = speed_vector(S.base, alpha)
-    return _in_frame(_trivial_frame(S), alpha.as_array()[:S.base.n_pairs], tol)
+    return _in_frame(_trivial_frame(S), alpha.as_array()[:S.base.n_pairs])
 
 
 def nontrivial_component(S, alpha):
@@ -574,11 +574,11 @@ class ShadowSystem:
     c: float
 
 
-def shadow_system(P, theta, alpha, c=None, c_max=DEFAULT_C_MAX):
+def shadow_system(P, theta, alpha, c=None):
     theta = direction(theta)
     alpha = speed_vector(P, alpha)
     if c is None:
-        c = persistence_interval(P, theta, alpha, c_max=c_max)
+        c = persistence_interval(P, theta, alpha)
     c = float(c)
     if c <= 0:
         raise InputError("persistence half-width must be positive")
@@ -619,7 +619,7 @@ def _affine_planes(P, theta, alpha, exact):
         X, a, u = P.as_array(), alpha.as_array(), np.array(theta.theta)
         sizes, unit = np.array(m), 1.0
     flat = np.concatenate(cycles)
-    succ = np.concatenate([np.roll(c, -1) for c in cycles])
+    succ = np.concatenate([c[1:] + c[:1] for c in cycles])
     starts = np.cumsum([0] + m[:-1])
     owner = np.repeat(np.arange(len(m)), m)
     p, q = X[flat], X[succ]
@@ -676,20 +676,20 @@ def persistence_root(P, theta, alpha):
                                     speed_vector(P, alpha), exact), exact)
 
 
-def persistence_interval(P, theta, alpha, c_max=DEFAULT_C_MAX):
+def persistence_interval(P, theta, alpha):
     """A certified half-width c > 0 on which the deformation keeps the
     labeled face lattice of ``P``.
 
     The width is analytic: c = 0.9 min(|t_minus|, |t_plus|) over the
-    breakpoints of ``persistence_root``, capped at ``c_max`` (``c_max``
-    itself when no support function ever binds, as for a zero speed).  As
+    breakpoints of ``persistence_root``, capped at ``DEFAULT_C_MAX`` (the
+    cap itself when no support function ever binds, as for a zero speed).  As
     an independent check the body is re-hulled at t = +-c; while the lattice
     differs there, c halves, and NoPersistence is raised once it falls below
     1e-12, which signals a non-admissible speed.
     """
     theta = direction(theta)
     alpha = speed_vector(P, alpha)
-    c = float(c_max)
+    c = DEFAULT_C_MAX
     for root in persistence_root(P, theta, alpha):
         if root is not None:
             c = min(0.9 * abs(float(root)), c)

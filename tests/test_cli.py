@@ -130,6 +130,22 @@ def test_rational_output_deterministic(capsys, cubocta_json):
     assert out1 == out2
 
 
+def test_shared_parser_keeps_no_state_between_runs(capsys, cube_json):
+    # main parses every argv with one parser per process; one run's
+    # options must not reach the next run's manifest or output
+    assert cli._build_parser() is cli._build_parser()
+    speeds = ("speeds", cube_json, "--theta", "1,1,0")
+    rc, first, _ = run_cli(capsys, *speeds)
+    assert rc == 0
+    assert json.loads(first)["manifest"]["config"]["theta"] == "1,1,0"
+    rc, out, _ = run_cli(capsys, "product", cube_json)
+    assert rc == 0
+    assert json.loads(out)["manifest"]["config"] == {
+        "input": cube_json, "kernel": "rational"}
+    rc, again, _ = run_cli(capsys, *speeds)
+    assert rc == 0 and again == first
+
+
 def test_deform_csv_consistency(capsys, tmp_path, cubocta_json):
     out_csv = str(tmp_path / "def.csv")
     rc, _, _ = run_cli(capsys, "deform", cubocta_json, "--theta", "1,1,0",

@@ -42,6 +42,19 @@ def test_command_set_covers_every_command():
             assert double or f"{name}-double" in names
 
 
+def test_help_runs_cover_every_command():
+    cmds = cli_identity.help_commands()
+    names = [name for name, _ in cmds]
+    assert len(set(names)) == len(names)
+    assert set(names).isdisjoint(name for name, _ in cli_identity.commands())
+    helped = [argv[:-1] for _, argv in cmds if argv[-1] == "--help"]
+    assert helped[0] == []
+    assert sorted(tuple(h) for h in helped[1:]) == sorted(
+        {(argv[0],) for _, argv in cli_identity.commands()})
+    assert ("usage-speeds-without-theta",
+            ["speeds", "bodies/cube.json"]) in cmds
+
+
 def test_fake_pair_lists_the_differing_files(tmp_path):
     cmds = [("product-cube", ["product", "bodies/cube.json",
                               "--out", "out/product-cube.json"]),

@@ -6,7 +6,9 @@ Runs one fixed set of ``python -m mahler3d`` commands with the package of
 each checkout (``<checkout>/src``): ``analyze``, ``polar``, ``product``,
 ``classify``, ``speeds``, ``deform`` and ``bound-sweep`` on named bodies
 on the rational kernel and again with ``--kernel double`` (names ending in
-``-double``), then ``optimize`` on both kernels and ``corpus``.
+``-double``), then ``optimize`` on both kernels and ``corpus``; then
+``--help`` of the top level and of each subcommand, and one argparse usage
+error (``speeds`` without ``--theta``).
 Each side runs in its own work directory from the same relative paths, so
 the manifests, which record the paths, match.  Every command leaves its
 output file, stdout, stderr and exit code under ``out/``; the script lists
@@ -101,9 +103,20 @@ def commands():
     return cmds
 
 
+def help_commands():
+    """(name, argv) of the runs that write no file: ``--help`` of the top
+    level and of each subcommand of ``commands()``, and ``speeds`` without
+    its required ``--theta``, an argparse usage error (exit 2)."""
+    subcommands = dict.fromkeys(argv[0] for _, argv in commands())
+    return ([("help", ["--help"])]
+            + [(f"help-{sub}", [sub, "--help"]) for sub in subcommands]
+            + [("usage-speeds-without-theta", ["speeds", "bodies/cube.json"])])
+
+
 def run_side(checkout, workdir, cmds=None):
-    """Run ``cmds`` (default: ``commands()``) with ``checkout``'s package
-    from ``workdir``; returns the ``out/`` directory."""
+    """Run ``cmds`` (default: ``commands()`` and ``help_commands()``) with
+    ``checkout``'s package from ``workdir``; returns the ``out/``
+    directory."""
     workdir = Path(workdir)
     (workdir / "bodies").mkdir(parents=True, exist_ok=True)
     out = workdir / "out"
@@ -113,7 +126,9 @@ def run_side(checkout, workdir, cmds=None):
             json.dump({"vertices": reps, "symmetric": True}, fh)
     env = dict(os.environ, PYTHONPATH=str(Path(checkout).resolve() / "src"),
                PYTHONDONTWRITEBYTECODE="1")
-    for name, argv in commands() if cmds is None else cmds:
+    if cmds is None:
+        cmds = commands() + help_commands()
+    for name, argv in cmds:
         done = subprocess.run([sys.executable, "-m", "mahler3d", *argv],
                               cwd=workdir, env=env, capture_output=True)
         (out / f"{name}.stdout").write_bytes(done.stdout)
