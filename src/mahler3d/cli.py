@@ -33,7 +33,7 @@ from .errors import (FindingError, InputError, MahlerError,
 
 def _jsonable(x):
     if isinstance(x, Fraction):
-        return str(x)
+        return G.fraction_text(x)
     if isinstance(x, bool) or x is None or isinstance(x, str):
         return x
     if isinstance(x, (int, np.integer)):
@@ -94,11 +94,7 @@ def _parse_theta(text):
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 3:
         raise InputError("--theta expects three comma-separated components")
-    try:
-        vec = tuple([Fraction(p) for p in parts])
-    except (ValueError, ZeroDivisionError) as e:
-        raise InputError(f"bad theta component: {e}")
-    return SH.direction(vec)
+    return SH.direction(parts)
 
 
 def _parse_speed(text, P):
@@ -109,8 +105,6 @@ def _parse_speed(text, P):
         raise InputError(f"bad speed component: {e}")
     if len(vals) == P.n_pairs:
         vals = vals + [-v for v in vals]
-    if P.kernel == G.DOUBLE:
-        vals = [float(v) for v in vals]
     return SH.speed_vector(P, vals)
 
 
@@ -204,12 +198,7 @@ def _deform(P, args):
             raise InputError("no non-trivial admissible speed for this "
                              "direction; pass --speed explicitly")
     if args.t_max is not None:
-        try:
-            c = Fraction(args.t_max)
-        except (ValueError, ZeroDivisionError) as e:
-            raise InputError(f"bad --t-max: {e}")
-        if P.kernel == G.DOUBLE:
-            c = float(c)
+        c = G._as_coord(args.t_max, P.kernel)
     else:
         c = SH.persistence_interval(P, theta, alpha)
     ts = SH.sample_grid(c, args.samples, P.kernel == G.RATIONAL)

@@ -29,7 +29,7 @@ import numpy as np
 from . import _kernels, hull as _hull
 from .errors import (DegenerateInput, InputError, NumericalDegeneracy,
                      SingularMatrix, ToleranceConflict)
-from .hull import dot, neg, sub
+from .hull import cross, dot, neg, sub
 
 RATIONAL = "rational"
 DOUBLE = "double"
@@ -38,32 +38,40 @@ _SNAP_BITS = 40   # rational snaps round to the dyadic grid 2^-40
 
 
 def _as_coord(x, kernel):
-    if kernel == RATIONAL:
-        if isinstance(x, Fraction):
-            return x
-        if isinstance(x, str):
-            return Fraction(x)
-        if isinstance(x, (int, float)):
-            return Fraction(x)
-        raise InputError(f"cannot interpret coordinate {x!r} rationally")
-    if isinstance(x, str):
-        return float(Fraction(x))
-    return float(x)
+    """The one coercion of an outside number to the kernel's type.
+
+    Rational kernel: a ``Fraction`` as is, anything else through
+    ``Fraction(x)``.  Double kernel: a string read as an exact fraction and
+    rounded, anything else through ``float(x)``.  What these reject, and a
+    NaN or infinite result, raises InputError.
+    """
+    try:
+        if kernel == RATIONAL:
+            return x if isinstance(x, Fraction) else Fraction(x)
+        v = float(Fraction(x)) if isinstance(x, str) else float(x)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as e:
+        raise InputError(f"invalid number {x!r}: {e}") from None
+    if not math.isfinite(v):
+        raise InputError(f"non-finite number {x!r}")
+    return v
 
 
 def as_point(p, kernel):
     """Coerce a length-3 sequence to a coordinate triple of the kernel's
-    type; a coordinate that is not a finite number raises InputError on
-    either kernel."""
+    type through ``_as_coord``."""
     if len(p) != 3:
         raise InputError(f"point of length {len(p)}")
+    return tuple([_as_coord(c, kernel) for c in p])
+
+
+def fraction_text(x):
+    """``str(x)``, raising NumericalDegeneracy where the exact number has
+    more digits than Python's int-to-str conversion limit allows."""
     try:
-        t = tuple([_as_coord(c, kernel) for c in p])
-    except (ValueError, OverflowError, ZeroDivisionError) as e:
-        raise InputError(f"invalid coordinate in {p!r}: {e}")
-    if kernel == DOUBLE and not all([math.isfinite(c) for c in t]):
-        raise InputError(f"non-finite coordinate in {p!r}")
-    return t
+        return str(x)
+    except ValueError:
+        raise NumericalDegeneracy("exact number has more digits than Python's "
+                                  "int-to-str conversion allows") from None
 
 
 class FaceLattice:
@@ -269,14 +277,8 @@ class SymPolytope:
 
     def inradius(self):
         """Distance from the origin to the nearest facet plane."""
-        if self.kernel == RATIONAL:
-            vals = []
-            for n, h in self.lattice.facet_planes:
-                nn2 = dot(n, n)
-                vals.append(h * h / nn2)
-            r2 = min(vals)
-            return float(r2) ** 0.5
-        return min(h for _, h in self.lattice.facet_planes)
+        return float(min([h * h / dot(n, n)
+                          for n, h in self.lattice.facet_planes])) ** 0.5
 
     def circumradius(self):
         return max(float(dot(v, v)) for v in self.vertices) ** 0.5
@@ -284,7 +286,7 @@ class SymPolytope:
     def to_json_dict(self):
         reps = [self.vertices[i] for i in self.rep_indices()]
         if self.kernel == RATIONAL:
-            verts = [[str(c) for c in v] for v in reps]
+            verts = [[fraction_text(c) for c in v] for v in reps]
         else:
             verts = [[float(c) for c in v] for v in reps]
         return {"vertices": verts, "symmetric": True}
@@ -424,8 +426,8 @@ def build_sym_polytope(points, tol=None, kernel=RATIONAL):
 
     Input points are mirrored, symmetrized so the antipodal pairing is exact,
     and reduced to the extreme points.  ``tol`` is the point-identification
-    tolerance (defaults: 0 in rational mode, ``hull.DIST_TOL_REL`` times the
-    largest |coordinate| in double mode).
+    tolerance, coerced like the coordinates (defaults: 0 in rational mode,
+    ``hull.DIST_TOL_REL`` times the largest |coordinate| in double mode).
 
     Raises DegenerateInput when the affine hull has dimension < 3 and
     ToleranceConflict when two distinct points sit within tol of each other
@@ -436,15 +438,14 @@ def build_sym_polytope(points, tol=None, kernel=RATIONAL):
     pts = [as_point(p, kernel) for p in points]
     if not pts:
         raise DegenerateInput("empty point set")
-    if tol is None:
-        if kernel == RATIONAL:
-            tol = 0
-        else:
-            tol = _hull.DIST_TOL_REL * _hull.coordinate_scale(pts)
+    if tol is not None:
+        tol = _as_coord(tol, kernel)
+    elif kernel == RATIONAL:
+        tol = 0
+    else:
+        tol = _hull.DIST_TOL_REL * _hull.coordinate_scale(pts)
     if tol < 0:
         raise InputError("tol must be nonnegative")
-    if kernel == RATIONAL and tol:
-        tol = Fraction(tol)
     reps = _dedupe_and_pair(pts, tol, kernel)
     if len(reps) < 3:
         raise DegenerateInput("need at least three antipodal vertex pairs")
@@ -503,26 +504,17 @@ def linear_image(P, A):
     preserved structurally: images are computed for pair representatives and
     mirrored by exact negation.
     """
+    M = [[_as_coord(A[i][j], P.kernel) for j in range(3)] for i in range(3)]
+    det = dot(M[0], cross(M[1], M[2]))
     if P.kernel == RATIONAL:
-        M = [[_as_coord(A[i][j], RATIONAL) for j in range(3)] for i in range(3)]
-        det = (M[0][0] * (M[1][1] * M[2][2] - M[1][2] * M[2][1])
-               - M[0][1] * (M[1][0] * M[2][2] - M[1][2] * M[2][0])
-               + M[0][2] * (M[1][0] * M[2][1] - M[1][1] * M[2][0]))
-        if det == 0:
-            raise SingularMatrix("matrix is singular")
-        reps = []
-        for i in P.rep_indices():
-            v = P.vertices[i]
-            reps.append(tuple([M[r][0] * v[0] + M[r][1] * v[1] + M[r][2] * v[2]
-                               for r in range(3)]))
+        singular = det == 0
     else:
-        M = np.asarray(A, dtype=float)
-        det = np.linalg.det(M)
-        scale = max(1.0, float(np.abs(M).max())) ** 3
-        if abs(det) <= 1e-12 * scale:
-            raise SingularMatrix(f"matrix determinant {det:.3e} below tolerance")
-        reps = [tuple([float(c) for c in M @ np.array(P.vertices[i])])
-                for i in P.rep_indices()]
+        scale = max(1.0, max([abs(x) for row in M for x in row])) ** 3
+        singular = abs(det) <= 1e-12 * scale
+    if singular:
+        raise SingularMatrix(f"singular matrix: determinant {float(det):.3e}")
+    reps = [tuple([dot(row, P.vertices[i]) for row in M])
+            for i in P.rep_indices()]
     Q = from_representatives(reps, P.kernel)
     if Q.V != P.V:
         raise NumericalDegeneracy(

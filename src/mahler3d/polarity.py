@@ -84,12 +84,9 @@ def volume_product(P):
     vol = G.volume(P)
     pol = G.volume(polar(P))
     prod = vol * pol
-    if P.kernel == G.RATIONAL:
-        zero = Fraction(0)
-        gap = prod - MAHLER_BOUND
-    else:
-        zero = 0.0
-        gap = prod - float(MAHLER_BOUND)
+    zero = prod * 0
+    # a float minus a Fraction is float arithmetic on float(MAHLER_BOUND)
+    gap = prod - MAHLER_BOUND
     return VolumeProductReport(volume_primal=vol, volume_polar=pol,
                                product=prod, santalo_point=(zero, zero, zero),
                                mahler_gap=gap, kernel=P.kernel)

@@ -41,14 +41,16 @@ DEFAULT_C_MAX = 1e6
 
 @dataclass(frozen=True, eq=False)
 class Direction:
-    """A unit direction ``theta`` with an exact rational ``carrier`` along
-    the same ray, so parallelism tests can be decided without rounding.
+    """A unit direction ``theta`` with its exact integer ``ray`` and a
+    rational ``carrier`` along it, so parallelism tests and exact
+    deformations need no rounding.
 
     ``ray`` is (N0, N1, N2, D, L): the input vector, up to a power of two,
     is (N0, N1, N2) / D in Python integers, and L is the float length that
     ``theta`` was divided by.  The carrier (N0, N1, N2) / (D L), near unit
-    length, is built the first time it is read; only the rational kernel,
-    ``deform``, ``_affine_planes`` and the classification evidence read it.
+    length, is built the first time it is read; only ``deform`` and
+    ``_affine_planes`` on the rational kernel and the classification
+    evidence read it.
     Directions are equal, and hash alike, when theta and carrier are.
     """
     theta: tuple
@@ -150,13 +152,12 @@ def speed_vector(P, values):
     if len(vals) != P.V:
         raise InputError(f"speed length {len(vals)} != V = {P.V}")
     pair = P.pairing
+    vals = tuple([G._as_coord(a, P.kernel) for a in vals])
     if P.kernel == G.RATIONAL:
-        vals = tuple([G._as_coord(a, G.RATIONAL) for a in vals])
         for i in range(P.V):
             if vals[pair[i]] != -vals[i]:
                 raise InputError(f"speed not odd at vertex {i}")
     else:
-        vals = tuple([float(a) for a in vals])
         scale = max(1.0, max(abs(a) for a in vals))
         for i in range(P.V):
             if abs(vals[pair[i]] + vals[i]) > 1e-12 * scale:
@@ -186,21 +187,24 @@ def _unit_normal(n):
 
 
 def _facet_normals(P):
-    """(3, F/2) array of one normal per facet pair: the exact normals as
-    objects on the rational kernel, their ``_unit_normal`` otherwise."""
-    planes = P.lattice.facet_planes[:P.lattice.F // 2]
+    """(3, F/2) array of one normal per facet pair: on the rational kernel
+    one positive integer multiple of every exact normal (``_integer_points``)
+    as objects, their ``_unit_normal`` otherwise."""
+    normals = [n for n, _ in P.lattice.facet_planes[:P.lattice.F // 2]]
     if P.kernel == G.RATIONAL:
-        return np.array([n for n, _ in planes], dtype=object).T
-    return np.array([_unit_normal(n) for n, _ in planes]).T
+        return np.array(_integer_points(normals)[0], dtype=object).T
+    return np.array([_unit_normal(n) for n in normals]).T
 
 
 def _parallel_sets(P, N, thetas, skip=(), exempt=()):
     """``parallel_facets`` of every direction of ``thetas`` on the facet
     normals ``N`` of ``_facet_normals``, decided in one (F/2, D) array.  A
     direction whose ParallelismAmbiguity is an instance of ``skip`` gets
-    None; otherwise the first one raises."""
+    None; otherwise the first one raises.  On the rational kernel the
+    integer normals meet each direction's integer ray, a positive multiple
+    of its carrier, so each sign, and so each decision, is the carrier's."""
     exact = P.kernel == G.RATIONAL
-    T = np.array([th.carrier if exact else th.theta for th in thetas],
+    T = np.array([th.ray[:3] if exact else th.theta for th in thetas],
                  dtype=object if exact else float).reshape(-1, 3).T
     # elementwise, in the order of hull.dot, so every decision is the one a
     # scalar theta.n would give
@@ -235,7 +239,7 @@ def parallel_facets(P, theta, exempt=()):
     theta.n_g = 0, as a frozenset; the antipode g + F/2 of each is parallel
     too.  Pairs in ``exempt`` are neither tested nor returned.
 
-    Rational kernel: exact, through the rational carrier of theta.  Double
+    Rational kernel: exact, through the integer ray of theta.  Double
     kernel: |theta.n_g| <= PARALLEL_TOL against the unit normals, and
     ParallelismAmbiguity when a tested pair falls in the band
     (PARALLEL_TOL, AMBIGUITY_TOL].  This is the one-direction case of
@@ -547,12 +551,8 @@ def deform(P, theta, alpha, t):
     """
     theta = direction(theta)
     alpha = speed_vector(P, alpha)
-    if P.kernel == G.RATIONAL:
-        u = theta.carrier
-        t = G._as_coord(t, G.RATIONAL)
-    else:
-        u = theta.theta
-        t = float(t)
+    t = G._as_coord(t, P.kernel)
+    u = theta.carrier if P.kernel == G.RATIONAL else theta.theta
     reps = []
     for i in P.rep_indices():
         x = P.vertices[i]
@@ -579,7 +579,7 @@ def shadow_system(P, theta, alpha, c=None):
     alpha = speed_vector(P, alpha)
     if c is None:
         c = persistence_interval(P, theta, alpha)
-    c = float(c)
+    c = G._as_coord(c, G.DOUBLE)
     if c <= 0:
         raise InputError("persistence half-width must be positive")
     return ShadowSystem(base=P, theta=theta, alpha=alpha, c=c)

@@ -206,6 +206,32 @@ def test_exit_1_on_input_errors(capsys, tmp_path, cubocta_json):
     assert json.loads(err)["error"] == "DegenerateInput"
 
 
+def test_exit_1_on_bad_numbers(capsys, cube_json):
+    # a NaN --tol or --t-max and a speed that is not a number are
+    # InputError on either kernel
+    for kernel in ("rational", "double"):
+        for argv in (["product", cube_json, "--tol", "nan"],
+                     ["deform", cube_json, "--theta", "0,0,1",
+                      "--speed", "x,1,1,1"],
+                     ["deform", cube_json, "--theta", "0,0,1",
+                      "--speed", "1,1,1,1", "--t-max", "nan"]):
+            rc, out, err = run_cli(capsys, *argv, "--kernel", kernel)
+            assert rc == 1 and out == ""
+            assert json.loads(err)["error"] == "InputError"
+
+
+def test_exit_1_on_numbers_past_the_digit_limit(capsys, tmp_path):
+    # the cube of half-edge 2^-5000: its exact volume has a denominator of
+    # more than 4,300 digits, which Python does not write as text
+    tiny = write_body(tmp_path, "tiny.json",
+                      [[str(Fraction(c, 2 ** 5000)) for c in p]
+                       for p in CUBE_REPS])
+    for cmd in ("product", "analyze"):
+        rc, out, err = run_cli(capsys, cmd, tiny)
+        assert rc == 1 and out == ""
+        assert json.loads(err)["error"] == "NumericalDegeneracy"
+
+
 def test_theta_at_extreme_scales(capsys, cube_json):
     # a finite direction normalises at any scale on either kernel, also
     # beyond the float range; a component that is not finite is an

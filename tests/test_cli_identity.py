@@ -1,4 +1,5 @@
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
@@ -53,6 +54,26 @@ def test_help_runs_cover_every_command():
         {(argv[0],) for _, argv in cli_identity.commands()})
     assert ("usage-speeds-without-theta",
             ["speeds", "bodies/cube.json"]) in cmds
+
+
+def test_error_runs_are_listed_apart():
+    cmds = cli_identity.error_commands()
+    names = [name for name, _ in cmds]
+    assert len(set(names)) == len(names)
+    others = cli_identity.commands() + cli_identity.help_commands()
+    assert set(names).isdisjoint(name for name, _ in others)
+    argvs = [argv for _, argv in cmds]
+    assert ["product", "bodies/cube.json", "--kernel", "double",
+            "--tol", "nan"] in argvs
+    assert ["deform", "bodies/cube.json", "--theta", "0,0,1",
+            "--speed", "x,1,1,1"] in argvs
+    for cmd in ("product", "analyze"):
+        assert [cmd, "bodies/tiny_cube.json"] in argvs
+    assert not any("--out" in argv or "--csv" in argv for argv in argvs)
+    tiny = cli_identity.ERROR_BODIES["tiny_cube"]
+    assert [[Fraction(c) * 2 ** 5000 for c in p] for p in tiny] == \
+        cli_identity.BODIES["cube"]
+    assert set(cli_identity.ERROR_BODIES).isdisjoint(cli_identity.BODIES)
 
 
 def test_fake_pair_lists_the_differing_files(tmp_path):

@@ -8,7 +8,8 @@ each checkout (``<checkout>/src``): ``analyze``, ``polar``, ``product``,
 on the rational kernel and again with ``--kernel double`` (names ending in
 ``-double``), then ``optimize`` on both kernels and ``corpus``; then
 ``--help`` of the top level and of each subcommand, and one argparse usage
-error (``speeds`` without ``--theta``).
+error (``speeds`` without ``--theta``); then the runs that must end in a
+typed JSON error (``error_commands()``).
 Each side runs in its own work directory from the same relative paths, so
 the manifests, which record the paths, match.  Every command leaves its
 output file, stdout, stderr and exit code under ``out/``; the script lists
@@ -50,6 +51,12 @@ BODIES = {
                         [2, 0, -1], [1, 2, -1], [-1, 2, -1]],
     "dyadic4": _dyadic(4, 4),
     "dyadic5": _dyadic(5, 5),
+}
+# Bodies that only ``error_commands()`` reads: the cube of half-edge
+# 2^-5000, whose exact volume has more digits than Python writes as text.
+ERROR_BODIES = {
+    "tiny_cube": [[str(Fraction(c, 2 ** 5000)) for c in p]
+                  for p in BODIES["cube"]],
 }
 THETAS = ("0,0,1", "1,1,0", "1,0,0", "3,5,7")
 # A decimal with a point or an exponent; integers and fractions such as
@@ -113,21 +120,37 @@ def help_commands():
             + [("usage-speeds-without-theta", ["speeds", "bodies/cube.json"])])
 
 
+def error_commands():
+    """(name, argv) of the runs that end in a typed error, exit 1 with a
+    JSON error on stderr: a NaN ``--tol`` on the double kernel, a speed
+    that is not a number, and ``product`` and ``analyze`` of ``tiny_cube``."""
+    return [
+        ("error-product-tol-nan-double",
+         ["product", "bodies/cube.json", "--kernel", "double", "--tol", "nan"]),
+        ("error-deform-speed-not-a-number",
+         ["deform", "bodies/cube.json", "--theta", "0,0,1",
+          "--speed", "x,1,1,1"]),
+        ("error-product-tiny_cube", ["product", "bodies/tiny_cube.json"]),
+        ("error-analyze-tiny_cube", ["analyze", "bodies/tiny_cube.json"]),
+    ]
+
+
 def run_side(checkout, workdir, cmds=None):
-    """Run ``cmds`` (default: ``commands()`` and ``help_commands()``) with
+    """Run ``cmds`` (default: ``commands()``, ``help_commands()`` and
+    ``error_commands()``) with
     ``checkout``'s package from ``workdir``; returns the ``out/``
     directory."""
     workdir = Path(workdir)
     (workdir / "bodies").mkdir(parents=True, exist_ok=True)
     out = workdir / "out"
     out.mkdir(exist_ok=True)
-    for body, reps in BODIES.items():
+    for body, reps in {**BODIES, **ERROR_BODIES}.items():
         with open(workdir / "bodies" / f"{body}.json", "w") as fh:
             json.dump({"vertices": reps, "symmetric": True}, fh)
     env = dict(os.environ, PYTHONPATH=str(Path(checkout).resolve() / "src"),
                PYTHONDONTWRITEBYTECODE="1")
     if cmds is None:
-        cmds = commands() + help_commands()
+        cmds = commands() + help_commands() + error_commands()
     for name, argv in cmds:
         done = subprocess.run([sys.executable, "-m", "mahler3d", *argv],
                               cwd=workdir, env=env, capture_output=True)
