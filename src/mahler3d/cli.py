@@ -98,11 +98,7 @@ def _parse_theta(text):
 
 
 def _parse_speed(text, P):
-    parts = [p.strip() for p in text.split(",")]
-    try:
-        vals = [Fraction(p) for p in parts]
-    except (ValueError, ZeroDivisionError) as e:
-        raise InputError(f"bad speed component: {e}")
+    vals = [G._as_coord(p.strip(), P.kernel) for p in text.split(",")]
     if len(vals) == P.n_pairs:
         vals = vals + [-v for v in vals]
     return SH.speed_vector(P, vals)

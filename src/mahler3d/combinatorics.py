@@ -61,12 +61,13 @@ def dimension_bounds(P, thetas, skip=()):
     Raises BoundViolation if dim A < (F - V)/2 + 2 + C_theta, which can only
     come from a kernel bug.  When the bound exceeds 3 the report carries a
     basis vector certified non-trivial: the first one that ``SH.is_trivial``
-    rejects.  The census, the bound and the witness depend on theta only
-    through its parallel facet set, so each is computed once per set, and
-    the witness searches of one call share one QR of the trivial basis that
-    all of its spaces have in common.  A direction that
-    ``SH.admissible_spaces`` skips for an error type in ``skip`` gets None
-    in place of its report.
+    rejects, by the one rule of ``SH._off_frame`` (float residual off the
+    trivial span above 1e-9 of the vector's norm).  The census, the bound
+    and the witness depend on theta only through its parallel facet set, so
+    each is computed once per set, and the witness searches of one call
+    share one QR of the trivial basis that all of its spaces have in common.
+    A direction that ``SH.admissible_spaces`` skips for an error type in
+    ``skip`` gets None in place of its report.
     """
     lat = P.lattice
     per_set = {}   # parallel set -> (census, bound, witness)
@@ -87,8 +88,8 @@ def dimension_bounds(P, thetas, skip=()):
             if bound > 3:
                 if frame is None:
                     frame = SH._trivial_frame(space)
-                witness = next((b for b in space.basis if not SH._in_frame(
-                    frame, b.as_array()[:P.n_pairs])), None)
+                witness = next((b for b in space.basis if SH._off_frame(
+                    frame, b.as_array()[:P.n_pairs])[1]), None)
                 if witness is None:
                     raise InternalInconsistency(
                         "bound > 3 but every basis vector tested trivial")
@@ -166,7 +167,7 @@ def _witness_evidence(side, B, rep):
     if residual != 0:
         raise InternalInconsistency(
             f"witness speed fails admissibility rows (residual {residual})")
-    if not any(SH._off_trivial(rep.space, [rep.witness_speed], exact=True)[0]):
+    if not any(SH._off_trivial(rep.space, [rep.witness_speed])[0]):
         raise InternalInconsistency("witness speed is exactly trivial")
     return {
         "witness_side": side,

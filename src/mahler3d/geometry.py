@@ -64,6 +64,16 @@ def as_point(p, kernel):
     return tuple([_as_coord(c, kernel) for c in p])
 
 
+def _sqrt(x):
+    """The float square root of x >= 0.  An exact ``Fraction`` is first
+    brought near 1 by a power of four, as ``shadow.direction`` does, so a
+    root that is a normal float never underflows or overflows with x."""
+    if not isinstance(x, Fraction) or not x:
+        return float(x) ** 0.5
+    e = (x.numerator.bit_length() - x.denominator.bit_length()) // 2
+    return math.ldexp(float(x / Fraction(4) ** e) ** 0.5, e)
+
+
 def fraction_text(x):
     """``str(x)``, raising NumericalDegeneracy where the exact number has
     more digits than Python's int-to-str conversion limit allows."""
@@ -192,12 +202,17 @@ class FaceLattice:
                 raise NumericalDegeneracy(
                     f"facet ring around vertex {v} misses facets", offending=[v])
             out.append(tuple(ring))
-        for ring in out[:self.n_vertices // 2]:
-            mirror = [self.opposite_facet[f] for f in reversed(ring)]
-            first = mirror.index(min(mirror))
-            out.append(tuple(mirror[first:] + mirror[:first]))
+        out.extend([_mirror_cycle(ring, self.F) for ring in out])
         self._vertex_facet_cycles = tuple(out)
         return self._vertex_facet_cycles
+
+
+def _mirror_cycle(cycle, n):
+    """The antipodal image of a cycle of labels laid out in n (label i + n/2
+    is the antipode of i): each label shifted by n/2, the order reversed and
+    the smallest label rotated to the front."""
+    return _hull._canonical_cycle(
+        tuple([(v + n // 2) % n for v in reversed(cycle)]))
 
 
 def same_labeled_lattice(a, b):
@@ -218,8 +233,8 @@ def _build_lattice(n, pairs):
     order[j] >= K = len(pairs).
     """
     K = len(pairs)
-    cycles = [f.cycle for f in pairs] + [_hull._canonical_cycle(
-        tuple([(v + n // 2) % n for v in reversed(f.cycle)])) for f in pairs]
+    cycles = ([f.cycle for f in pairs]
+              + [_mirror_cycle(f.cycle, n) for f in pairs])
     planes = ([(f.normal, f.offset) for f in pairs]
               + [(neg(f.normal), f.offset) for f in pairs])
     keys = [sorted(c) for c in cycles]
@@ -277,11 +292,11 @@ class SymPolytope:
 
     def inradius(self):
         """Distance from the origin to the nearest facet plane."""
-        return float(min([h * h / dot(n, n)
-                          for n, h in self.lattice.facet_planes])) ** 0.5
+        return _sqrt(min([h * h / dot(n, n)
+                          for n, h in self.lattice.facet_planes]))
 
     def circumradius(self):
-        return max(float(dot(v, v)) for v in self.vertices) ** 0.5
+        return _sqrt(max(dot(v, v) for v in self.vertices))
 
     def to_json_dict(self):
         reps = [self.vertices[i] for i in self.rep_indices()]
@@ -542,8 +557,8 @@ def to_double(P):
     """Rebuild a rational polytope on the float64 kernel."""
     if P.kernel == DOUBLE:
         return P
-    reps = [tuple([float(c) for c in P.vertices[i]]) for i in P.rep_indices()]
-    return from_representatives(reps, DOUBLE)
+    return from_representatives([P.vertices[i] for i in P.rep_indices()],
+                                DOUBLE)
 
 
 def load_polytope(source, kernel=RATIONAL, tol=None):

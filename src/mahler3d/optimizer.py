@@ -18,7 +18,7 @@ not proof, of local minimality, and the trace metadata says so.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -258,10 +258,7 @@ def descend(P0, cfg=None):
         "stall_with_nontrivial_speed": stall,
         "note": ("descent is heuristic: absence of an improving move is "
                  "evidence, not proof, of local minimality"),
-        "config": {"max_vertices": cfg.max_vertices,
-                   "direction_budget": cfg.direction_budget,
-                   "termination_tol": cfg.termination_tol,
-                   "seed": cfg.seed, "max_iters": cfg.max_iters},
+        "config": asdict(cfg),
     }
     if stall:
         meta["stall_note"] = ("non-trivial speed found whose breakpoint "
@@ -304,8 +301,7 @@ def corpus_verify(count, n_pairs_max=6, seed=2024, dirs_per_body=4,
         if prod < floor and P.kernel == G.DOUBLE:
             # rounding in a thin body's fan volumes can dip below the floor
             exact = G.from_representatives(
-                [tuple([Fraction(c) for c in P.vertices[i]])
-                 for i in P.rep_indices()], G.RATIONAL)
+                [P.vertices[i] for i in P.rep_indices()], G.RATIONAL)
             prod = float(PO.volume_product(exact).product)
         if prod < floor:
             raise CounterexampleAlarm(

@@ -461,34 +461,32 @@ def _trivial_frame(S):
     return np.linalg.qr(T)[0]
 
 
-def _in_frame(frame, b):
-    """Whether the float vector ``b`` lies in the span of the orthonormal
-    columns of ``frame``, up to a residual <= 1e-9 x ||b||."""
+def _off_frame(frame, b):
+    """The float residual r = b - Q (Q^T b) of ``b`` off the orthonormal
+    columns Q of ``frame``, and ||r|| if it exceeds 1e-9 x ||b||, else 0.0:
+    the one triviality rule, on both kernels, is that a speed is
+    non-trivial exactly when the second value is positive."""
     r = b - frame @ (frame.T @ b)
-    return float(np.linalg.norm(r)) <= 1e-9 * float(np.linalg.norm(b))
+    n = float(np.linalg.norm(r))
+    return r, n if n > 1e-9 * float(np.linalg.norm(b)) else 0.0
 
 
 def _sumprod(a, b):
     return sum(map(operator.mul, a, b))
 
 
-def _off_trivial(S, speeds, exact):
-    """Each speed minus its orthogonal projection onto the trivial span of
-    ``S``, as a list in reduced pair coordinates.
+def _off_trivial(S, speeds):
+    """Each speed minus its exact orthogonal projection onto the trivial
+    span of ``S``, as a list of Fractions in reduced pair coordinates.
 
-    Float QR without ``exact``.  With it, on integer images
-    (``hull._integer_points``): T holds the three trivial speeds and v a
-    speed, each scaled to integers, and the residual is v - T^T G^-1 T v
-    for the Gram matrix G = T T^T, solved once through its adjugate, so
-    that each component is one Fraction over det(G) times the scale of v.
-    The projection onto a span is unique, so this is exactly the
-    Gram-Schmidt residual.  A singular G raises InternalInconsistency.
+    On integer images (``hull._integer_points``): T holds the three trivial
+    speeds and v a speed, each scaled to integers, and the residual is
+    v - T^T G^-1 T v for the Gram matrix G = T T^T, solved once through its
+    adjugate, so that each component is one Fraction over det(G) times the
+    scale of v.  The projection onto a span is unique, so this is exactly
+    the Gram-Schmidt residual.  A singular G raises InternalInconsistency.
     """
     k = S.base.n_pairs
-    if not exact:
-        Qo = _trivial_frame(S)
-        return [(b - Qo @ (Qo.T @ b)).tolist()
-                for b in (sv.as_array()[:k] for sv in speeds)]
     T = _integer_points([tv.alpha[:k] for tv in S.trivial_basis])[0]
     gram = [[_sumprod(r, c) for c in T] for r in T]
     adj = [[gram[(i + 1) % 3][(j + 1) % 3] * gram[(i + 2) % 3][(j + 2) % 3]
@@ -509,34 +507,45 @@ def _off_trivial(S, speeds, exact):
 
 
 def is_trivial(S, alpha):
-    """Whether ``alpha`` lies in the span of the globally affine speeds, up
-    to a float residual <= 1e-9 x ||alpha||."""
+    """Whether ``alpha`` lies in the span of the globally affine speeds: by
+    ``_off_frame``, whether its float residual off that span is at most
+    1e-9 x ||alpha||."""
     alpha = speed_vector(S.base, alpha)
-    return _in_frame(_trivial_frame(S), alpha.as_array()[:S.base.n_pairs])
+    return not _off_frame(_trivial_frame(S),
+                          alpha.as_array()[:S.base.n_pairs])[1]
 
 
 def nontrivial_component(S, alpha):
     """The component of ``alpha`` orthogonal to the trivial span (float)."""
-    r = _off_trivial(S, [speed_vector(S.base, alpha)], False)[0]
-    return np.array(r + [-x for x in r])
+    r = _off_frame(_trivial_frame(S),
+                   speed_vector(S.base, alpha).as_array()[:S.base.n_pairs])[0]
+    return np.concatenate([r, -r])
 
 
 def nontrivial_speed(S):
     """The largest projection of the admissible basis of ``S`` off the
-    trivial span, scaled to max |alpha_i| = 1, or None when the space is
-    entirely trivial.
+    trivial span, scaled to max |alpha_i| = 1, or None when ``is_trivial``
+    accepts every basis vector.
 
-    Exact on the rational kernel, so the speed is itself exactly admissible;
-    on the double kernel a projection counts only above norm 1e-8.
+    The basis is ranked by the residual norms of ``_off_frame`` on both
+    kernels.  The rational kernel projects exactly (``_off_trivial``) only
+    the vectors within 1e-9 relative of the largest and keeps the first of
+    the largest exact squared norm, so the speed is exactly admissible (None
+    if all of them project to zero).
     """
-    exact = S.base.kernel == G.RATIONAL
-    best, best_n = None, 0 if exact else 1e-8
-    for r in _off_trivial(S, S.basis, exact):
-        n = sum(x * x for x in r) if exact else float(np.linalg.norm(r))
-        if n > best_n:
-            best, best_n = r, n
-    if best is None:
+    k = S.base.n_pairs
+    frame = _trivial_frame(S)
+    res, norms = zip(*[_off_frame(frame, b.as_array()[:k]) for b in S.basis])
+    top = max(norms)
+    if top == 0:
         return None
+    if S.base.kernel == G.RATIONAL:
+        near = [b for b, n in zip(S.basis, norms) if n >= top - 1e-9 * top]
+        best = max(_off_trivial(S, near), key=lambda r: _sumprod(r, r))
+        if not any(best):
+            return None
+    else:
+        best = res[norms.index(top)].tolist()
     mx = max(abs(x) for x in best)
     return _lift(S.base, [x / mx for x in best])
 
@@ -745,7 +754,9 @@ def frozen_product(P, theta, alpha):
 
 def sample_grid(c, samples, exact):
     """``samples`` evenly spaced t from -c to c: exact Fractions with
-    ``exact``, floats otherwise."""
+    ``exact``, floats otherwise.  Fewer than 2 samples raise InputError."""
+    if samples < 2:
+        raise InputError(f"need at least 2 samples, got {samples}")
     if exact:
         c = Fraction(c)
         return [-c + 2 * c * Fraction(i, samples - 1) for i in range(samples)]

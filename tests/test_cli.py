@@ -220,6 +220,19 @@ def test_exit_1_on_bad_numbers(capsys, cube_json):
             assert json.loads(err)["error"] == "InputError"
 
 
+def test_exit_1_on_fewer_than_two_samples(capsys, cube_json):
+    # a grid from -c to c needs both ends; one sample divided by zero on
+    # the rational kernel and none wrote an empty table
+    for kernel in ("rational", "double"):
+        for samples in ("1", "0"):
+            rc, out, err = run_cli(capsys, "deform", cube_json, "--theta",
+                                   "0,0,1", "--speed", "1,1,1,1", "--t-max",
+                                   "1/8", "--samples", samples,
+                                   "--kernel", kernel)
+            assert rc == 1 and out == ""
+            assert json.loads(err)["error"] == "InputError"
+
+
 def test_exit_1_on_numbers_past_the_digit_limit(capsys, tmp_path):
     # the cube of half-edge 2^-5000: its exact volume has a denominator of
     # more than 4,300 digits, which Python does not write as text

@@ -69,6 +69,11 @@ def test_error_runs_are_listed_apart():
             "--speed", "x,1,1,1"] in argvs
     for cmd in ("product", "analyze"):
         assert [cmd, "bodies/tiny_cube.json"] in argvs
+    for n in ("1", "0"):
+        for kernel in ("rational", "double"):
+            assert ["deform", "bodies/cube.json", "--kernel", kernel,
+                    "--theta", "0,0,1", "--speed", "1,1,1,1", "--t-max",
+                    "1/8", "--samples", n] in argvs
     assert not any("--out" in argv or "--csv" in argv for argv in argvs)
     tiny = cli_identity.ERROR_BODIES["tiny_cube"]
     assert [[Fraction(c) * 2 ** 5000 for c in p] for p in tiny] == \

@@ -136,6 +136,24 @@ def test_snap_and_to_double_round_trip(cubocta_d):
     assert np.allclose(D.as_array(), cubocta_d.as_array())
 
 
+def test_radii_of_cubes_beyond_the_float_range_of_their_squares(corpus50):
+    # the exact cube of half-edge 2^-600 or 2^600: each radius is a normal
+    # float while its square underflows or overflows
+    for e in (-600, 600):
+        P = M.build_sym_polytope([[Fraction(2) ** e * c for c in p]
+                                  for p in CUBE_REPS])
+        assert P.inradius() == 2.0 ** e
+        assert P.circumradius() == np.ldexp(3 ** 0.5, e)
+    # where the square is a normal float the radius is its float's root
+    for P in [M.snap_to_rational(D) for D in corpus50[:10]]:
+        for Q in (P, M.polar(P)):
+            planes = Q.lattice.facet_planes
+            assert Q.inradius() == float(
+                min(h * h / hull.dot(n, n) for n, h in planes)) ** 0.5
+            assert Q.circumradius() == max(
+                float(hull.dot(v, v)) for v in Q.vertices) ** 0.5
+
+
 def test_save_load_round_trip_exact(tmp_path, cubocta_r):
     path = tmp_path / "body.json"
     M.save_polytope(cubocta_r, str(path))

@@ -97,7 +97,7 @@ def check_projection(P):
     got = {}
     for S in M.admissible_spaces(P, thetas):
         speeds = list(S.basis) + list(S.trivial_basis) + [odd]
-        got.update(zip(speeds, SH._off_trivial(S, speeds, True)))
+        got.update(zip(speeds, SH._off_trivial(S, speeds)))
         assert not any(any(got[tv]) for tv in S.trivial_basis)
     want = oracles.off_trivial_gram_schmidt(
         [tv.alpha for tv in S.trivial_basis], [sv.alpha for sv in got],
@@ -175,4 +175,4 @@ def test_singular_gram_matrix_is_an_internal_inconsistency(cube_r):
                                           S.trivial_basis[0]),
                            dim=S.dim, parallel=S.parallel)
     with pytest.raises(InternalInconsistency, match="linearly dependent"):
-        SH._off_trivial(broken, S.basis, True)
+        SH._off_trivial(broken, S.basis)

@@ -106,6 +106,26 @@ def test_descend_exact_ends_at_mahler_bound(start, seed):
     assert tr.meta["terminated_by"] == "classification"
 
 
+def test_exact_descent_projects_few_speeds_exactly(monkeypatch):
+    # nontrivial_speed ranks the basis in floats and projects exactly only
+    # the near-largest vectors: 8 exact projections over the 4 steps of
+    # this descent and its final witness, where projecting every basis
+    # vector took 101
+    built = []
+    project = M.shadow._off_trivial
+
+    def counted(S, speeds):
+        built.extend(speeds)
+        return project(S, speeds)
+
+    monkeypatch.setattr(M.shadow, "_off_trivial", counted)
+    P = M.snap_to_rational(M.random_symmetric_polytope(5, seed=7022))
+    tr = M.descend(P, M.DescentConfig(seed=22, max_iters=12))
+    assert len(tr.steps) == 4
+    assert tr.final_classification.verdict == M.AFFINE_OCTAHEDRON
+    assert len(built) == 8
+
+
 def test_descend_seeded_random_start():
     P = M.random_symmetric_polytope(5, seed=3)
     tr = M.descend(P, M.DescentConfig(seed=3, max_iters=4))

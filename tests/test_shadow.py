@@ -5,12 +5,14 @@ import pytest
 from scipy.spatial import ConvexHull
 
 import mahler3d as M
+from mahler3d import hull
 from mahler3d.errors import (DegenerateDeformation, InputError,
                              InternalInconsistency, NoPersistence,
                              NumericalDegeneracy, ParallelismAmbiguity)
 
 import oracles
-from conftest import CUBOCTA_REPS
+from conftest import (CUBE_REPS, CUBOCTA_REPS, HEX_PRISM_REPS, OCTA_REPS,
+                      sym)
 
 
 def test_direction_normalizes_and_rejects_zero():
@@ -180,8 +182,73 @@ def test_nontrivial_certification_cubocta(cubocta_r):
     assert all(isinstance(a, Fraction) for a in alpha.alpha)
     assert M.admissibility_residual(cubocta_r, th, alpha) == 0
     assert max(abs(a) for a in alpha.alpha) == 1
-    assert any(M.shadow._off_trivial(S, [alpha], exact=True)[0])
+    assert any(M.shadow._off_trivial(S, [alpha])[0])
     assert not M.is_trivial(S, alpha)
+
+
+def test_one_triviality_rule_just_off_the_trivial_span(cube_d):
+    # a basis vector off the trivial span by 5e-9, about 2.5e-9 of its
+    # norm: non-trivial by the relative rule, while a cutoff on the
+    # absolute residual norm, such as 1e-8, would take it as trivial
+    S = M.admissible_space(cube_d, (3, 5, 7))
+    k = cube_d.n_pairs
+    off = M.nontrivial_component(S, M.shadow._lift(cube_d, [1.0, 0, 0, 0]))
+    off = off[:k] / np.linalg.norm(off[:k])
+    near = list(S.trivial_basis[0].as_array()[:k] + 5e-9 * off)
+    b = M.shadow._lift(cube_d, near)
+    rel = np.linalg.norm(M.nontrivial_component(S, b)) / np.linalg.norm(
+        b.as_array())
+    assert 1e-9 < rel < 1e-8
+    T = M.shadow.SpeedSpace(base=cube_d, theta=S.theta,
+                            basis=S.trivial_basis + (b,),
+                            trivial_basis=S.trivial_basis, dim=4,
+                            parallel=S.parallel)
+    assert not M.is_trivial(T, b)
+    alpha = M.nontrivial_speed(T)
+    assert alpha is not None and not M.is_trivial(T, alpha)
+    assert np.allclose(np.abs(alpha.as_array()[:k]),
+                       np.abs(off) / np.abs(off).max())
+
+
+def _named_and_corpus_bodies(corpus50):
+    """The named bodies and ``corpus50``, on both kernels, with their
+    polars."""
+    bodies = []
+    for kernel in (M.RATIONAL, M.DOUBLE):
+        bodies += [sym(r, kernel) for r in (CUBE_REPS, OCTA_REPS,
+                                            CUBOCTA_REPS, HEX_PRISM_REPS)]
+    bodies += corpus50 + [M.snap_to_rational(P) for P in corpus50]
+    return bodies + [M.polar(P) for P in bodies]
+
+
+def test_nontrivial_speed_follows_is_trivial(corpus50):
+    # one rule: nontrivial_speed is None exactly when is_trivial accepts
+    # every basis vector, the dimension witness is the first basis vector
+    # it rejects, and the rational speed is the exact projection of largest
+    # squared norm over the whole basis, the first on ties
+    def sq(r):
+        return sum(x * x for x in r)
+    seen = {M.RATIONAL: 0, M.DOUBLE: 0}
+    for P in _named_and_corpus_bodies(corpus50):
+        i, j = P.lattice.edges[0]
+        thetas = [(3, 5, 7), hull.sub(P.vertices[j], P.vertices[i])]
+        for rep in M.dimension_bounds(P, thetas):
+            S = rep.space
+            rejected = [b for b in S.basis if not M.is_trivial(S, b)]
+            alpha = M.nontrivial_speed(S)
+            assert (alpha is None) == (not rejected)
+            if rep.witness_speed is not None:
+                assert rep.witness_speed is rejected[0]
+            if alpha is None:
+                continue
+            seen[P.kernel] += 1
+            assert not M.is_trivial(S, alpha)
+            assert max(abs(a) for a in alpha.alpha) == 1
+            if P.kernel == M.RATIONAL:
+                best = max(M.shadow._off_trivial(S, S.basis), key=sq)
+                mx = max(abs(x) for x in best)
+                assert alpha == M.shadow._lift(P, [x / mx for x in best])
+    assert min(seen.values()) > 50
 
 
 def test_deform_identity_at_zero(cubocta_r):

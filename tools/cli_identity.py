@@ -123,7 +123,8 @@ def help_commands():
 def error_commands():
     """(name, argv) of the runs that end in a typed error, exit 1 with a
     JSON error on stderr: a NaN ``--tol`` on the double kernel, a speed
-    that is not a number, and ``product`` and ``analyze`` of ``tiny_cube``."""
+    that is not a number, ``product`` and ``analyze`` of ``tiny_cube``, and
+    ``deform`` with fewer than 2 samples on each kernel."""
     return [
         ("error-product-tol-nan-double",
          ["product", "bodies/cube.json", "--kernel", "double", "--tol", "nan"]),
@@ -132,7 +133,10 @@ def error_commands():
           "--speed", "x,1,1,1"]),
         ("error-product-tiny_cube", ["product", "bodies/tiny_cube.json"]),
         ("error-analyze-tiny_cube", ["analyze", "bodies/tiny_cube.json"]),
-    ]
+    ] + [(f"error-deform-samples-{n}-{kernel}",
+          ["deform", "bodies/cube.json", "--kernel", kernel, "--theta",
+           "0,0,1", "--speed", "1,1,1,1", "--t-max", "1/8", "--samples", n])
+         for n in ("1", "0") for kernel in ("rational", "double")]
 
 
 def run_side(checkout, workdir, cmds=None):
