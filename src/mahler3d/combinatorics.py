@@ -65,7 +65,7 @@ def dimension_bounds(P, thetas, skip=()):
     trivial span above 1e-9 of the vector's norm).  The census, the bound
     and the witness depend on theta only through its parallel facet set, so
     each is computed once per set, and the witness searches of one call
-    share one QR of the trivial basis that all of its spaces have in common.
+    share one ``SH._trivial_frame`` of ``P``.
     A direction that ``SH.admissible_spaces`` skips for an error type in
     ``skip`` gets None in place of its report.
     """
@@ -87,7 +87,7 @@ def dimension_bounds(P, thetas, skip=()):
             witness = None
             if bound > 3:
                 if frame is None:
-                    frame = SH._trivial_frame(space)
+                    frame = SH._trivial_frame(P)
                 witness = next((b for b in space.basis if SH._off_frame(
                     frame, b.as_array()[:P.n_pairs])[1]), None)
                 if witness is None:

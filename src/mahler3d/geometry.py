@@ -87,12 +87,13 @@ def fraction_text(x):
 class FaceLattice:
     """Labeled incidence structure of a 3-polytope.
 
-    Vertices, edges, and facets carry integer labels (I0, I1, I2).  phi2
-    maps an edge to its two incident facets and phi0 a facet to its vertex
-    cycle, ordered along the boundary consistently with the outward normal;
-    ``d`` counts a vertex's edges.  facet_planes[k] = (n, h) with the
-    facet on {x : n.x = h}; normals are unit length in double mode and
-    unnormalized exact vectors in rational mode.
+    Vertices and facets carry integer labels (I0, I2) and edges are the
+    sorted pairs of ``edges``.  phi2 maps an edge to its two incident
+    facets and ``facet_cycles[k]`` is the vertex cycle of facet k, ordered
+    along the boundary consistently with the outward normal; ``d`` counts a
+    vertex's edges.  facet_planes[k] = (n, h) with the facet on
+    {x : n.x = h}; normals are unit length in double mode and unnormalized
+    exact vectors in rational mode.
 
     Facets are in the facet layout of the vertices: facet f + F/2 is the
     antipode of facet f, so ``opposite_facet[f] == (f + F/2) % F``.
@@ -131,15 +132,8 @@ class FaceLattice:
         return range(self.V)
 
     @property
-    def I1(self):
-        return range(self.E)
-
-    @property
     def I2(self):
         return range(self.F)
-
-    def phi0(self, k):
-        return self.facet_cycles[k]
 
     def m(self, k):
         return len(self.facet_cycles[k])
@@ -299,11 +293,11 @@ class SymPolytope:
         return _sqrt(max(dot(v, v) for v in self.vertices))
 
     def to_json_dict(self):
-        reps = [self.vertices[i] for i in self.rep_indices()]
         if self.kernel == RATIONAL:
-            verts = [[fraction_text(c) for c in v] for v in reps]
+            verts = [[fraction_text(c) for c in self.vertices[i]]
+                     for i in self.rep_indices()]
         else:
-            verts = [[float(c) for c in v] for v in reps]
+            verts = self.as_array()[:self.n_pairs].tolist()
         return {"vertices": verts, "symmetric": True}
 
     def __repr__(self):
@@ -319,9 +313,8 @@ def _dedupe_and_pair(points, tol, kernel):
     than tol raise ToleranceConflict.
     """
     if kernel == RATIONAL:
-        full = list(points) + [neg(p) for p in points]
-        uniq = list(dict.fromkeys(full))
         if tol:
+            uniq = list(dict.fromkeys(list(points) + [neg(p) for p in points]))
             t2 = tol * tol
             for a in range(len(uniq)):
                 for b in range(a + 1, len(uniq)):
@@ -329,18 +322,9 @@ def _dedupe_and_pair(points, tol, kernel):
                     if dot(d, d) <= t2:
                         raise ToleranceConflict(
                             f"points {uniq[a]} and {uniq[b]} within tol but distinct")
-        reps = []
-        seen = set()
-        for p in uniq:
-            if p in seen:
-                continue
-            np_ = neg(p)
-            if p == np_:
-                continue  # origin; never a vertex
-            seen.add(p)
-            seen.add(np_)
-            reps.append(max(p, np_))
-        return reps
+        # the origin is never a vertex
+        return [max(p, neg(p)) for p in _first_up_to_sign(points)
+                if p != neg(p)]
 
     full = [tuple(map(float, p)) for p in points]
     full = full + [neg(p) for p in full]
@@ -393,6 +377,18 @@ def _dedupe_and_pair(points, tol, kernel):
                                 f"{signed[j * k + b]} within tol but not "
                                 "identified")
     return reps
+
+
+def _first_up_to_sign(points):
+    """The first point of each class of exactly equal points up to sign, in
+    input order."""
+    kept = []
+    seen = set()
+    for p in points:
+        if p not in seen:
+            kept.append(p)
+            seen.update((p, neg(p)))
+    return kept
 
 
 def _close_pairs(points, t2):
@@ -474,20 +470,16 @@ def from_representatives(reps, kernel):
     Each representative is coerced by ``as_point``.  Representatives that
     coincide up to sign, as when a deformation moves one vertex onto another
     or onto its antipode, merge into the first: exactly on the rational
-    kernel, by set membership of the kept points and their negations, and
-    within ``build_sym_polytope``'s default tolerance on the double kernel.
+    kernel (``_first_up_to_sign``), and within ``build_sym_polytope``'s
+    default tolerance on the double kernel.
     """
     reps = [as_point(p, kernel) for p in reps]
     if not reps:
         raise DegenerateInput("empty point set")
-    kept = []
     if kernel == RATIONAL:
-        seen = set()
-        for p in reps:
-            if p not in seen:
-                kept.append(p)
-                seen.update((p, neg(p)))
+        kept = _first_up_to_sign(reps)
     else:
+        kept = []
         tol2 = (_hull.DIST_TOL_REL * _hull.coordinate_scale(reps)) ** 2
         for p in reps:
             if all(dot(d, d) > tol2 for q in kept
@@ -538,12 +530,12 @@ def linear_image(P, A):
 
 
 def _snap(P):
-    """``P`` rebuilt on the exact kernel with every coordinate, read as a
-    float, rounded to the nearest multiple of 2^-_SNAP_BITS."""
+    """``P`` rebuilt on the exact kernel with every coordinate of its float
+    image ``as_array()`` rounded to the nearest multiple of 2^-_SNAP_BITS."""
     den = 1 << _SNAP_BITS
     return from_representatives(
-        [tuple([Fraction(round(float(c) * den), den) for c in P.vertices[i]])
-         for i in P.rep_indices()], RATIONAL)
+        [tuple([Fraction(round(x * den), den) for x in row])
+         for row in P.as_array()[:P.n_pairs].tolist()], RATIONAL)
 
 
 def snap_to_rational(P):

@@ -40,6 +40,12 @@ class DescentConfig:
     def __post_init__(self):
         if self.max_vertices < 6 or self.max_vertices % 2:
             raise InputError("max_vertices must be an even integer >= 6")
+        if G._as_coord(self.termination_tol, G.DOUBLE) < 0:
+            raise InputError("termination_tol must be >= 0")
+        for name in ("max_iters", "direction_budget"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < 0:
+                raise InputError(f"{name} must be an integer >= 0")
 
 
 @dataclass(frozen=True)
@@ -193,7 +199,7 @@ def descend(P0, cfg=None):
     if P0.V > N:
         raise InputError(f"start has V = {P0.V} > max_vertices = {N}")
     rng = np.random.default_rng(cfg.seed)
-    tol = cfg.termination_tol
+    tol = G._as_coord(cfg.termination_tol, G.DOUBLE)
     bound = float(Fraction(32, 3))
     P = P0
     steps = []
@@ -320,6 +326,8 @@ def corpus_verify(count, n_pairs_max=6, seed=2024, dirs_per_body=4,
                 raise CounterexampleAlarm(
                     "6-vertex symmetric body without the octahedral lattice",
                     dump=P.to_json_dict())
+    if not products:
+        raise InputError("no body to verify")
     arr = np.array(products)
     return {
         "count": len(products),

@@ -93,8 +93,7 @@ def volume_product(P):
 
 
 def _hausdorff_vertex_distance(A, B):
-    a = np.array([[float(c) for c in v] for v in A])
-    b = np.array([[float(c) for c in v] for v in B])
+    a, b = A.as_array(), B.as_array()
     d = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
     return max(float(d.min(axis=1).max()), float(d.min(axis=0).max()))
 
@@ -135,7 +134,7 @@ def verify_incidence_duality(P):
         haus = 0.0 if ok else None
     else:
         scale = max(1.0, P.circumradius())
-        haus = _hausdorff_vertex_distance(B.vertices, P.vertices)
+        haus = _hausdorff_vertex_distance(B, P)
         ok = haus <= 1e-9 * scale
     if not ok:
         raise DualityViolation(

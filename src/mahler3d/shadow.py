@@ -181,19 +181,15 @@ class SpeedSpace:
     parallel: frozenset   # the facet pairs parallel to theta (parallel_facets)
 
 
-def _unit_normal(n):
-    L = float(dot(n, n)) ** 0.5
-    return (float(n[0]) / L, float(n[1]) / L, float(n[2]) / L)
-
-
 def _facet_normals(P):
     """(3, F/2) array of one normal per facet pair: on the rational kernel
     one positive integer multiple of every exact normal (``_integer_points``)
-    as objects, their ``_unit_normal`` otherwise."""
+    as objects, the unit normals as the double kernel stores them
+    otherwise."""
     normals = [n for n, _ in P.lattice.facet_planes[:P.lattice.F // 2]]
     if P.kernel == G.RATIONAL:
         return np.array(_integer_points(normals)[0], dtype=object).T
-    return np.array([_unit_normal(n) for n in normals]).T
+    return np.array(normals).T
 
 
 def _parallel_sets(P, N, thetas, skip=(), exempt=()):
@@ -340,7 +336,7 @@ def _rational_nullspace(rows, n):
     return basis
 
 
-def _lift(P, beta):
+def _lift(beta):
     return SpeedVector(alpha=tuple(list(beta) + [-b for b in beta]))
 
 
@@ -373,7 +369,7 @@ def _solve_space(P, rows, trivial):
         else:
             eye = np.eye(k)
             beta_basis = [tuple(eye[:, j]) for j in range(k)]
-    basis = tuple([_lift(P, b) for b in beta_basis])
+    basis = tuple([_lift(b) for b in beta_basis])
     if exact:
         lim = None
     else:
@@ -453,12 +449,12 @@ def admissibility_residual(P, theta, alpha):
                           P.kernel == G.RATIONAL)
 
 
-def _trivial_frame(S):
-    """An orthonormal basis, by float QR, of the trivial span of ``S`` in
-    reduced pair coordinates: a (V/2, 3) array."""
-    k = S.base.n_pairs
-    T = np.stack([tv.as_array()[:k] for tv in S.trivial_basis], axis=1)
-    return np.linalg.qr(T)[0]
+def _trivial_frame(P):
+    """An orthonormal basis, by float QR, of the trivial span of ``P`` in
+    reduced pair coordinates: a (V/2, 3) array.  The trivial speeds from
+    w = e1, e2, e3 are the coordinate columns, so the QR reads them from
+    ``P.as_array()``."""
+    return np.linalg.qr(P.as_array()[:P.n_pairs])[0]
 
 
 def _off_frame(frame, b):
@@ -511,13 +507,13 @@ def is_trivial(S, alpha):
     ``_off_frame``, whether its float residual off that span is at most
     1e-9 x ||alpha||."""
     alpha = speed_vector(S.base, alpha)
-    return not _off_frame(_trivial_frame(S),
+    return not _off_frame(_trivial_frame(S.base),
                           alpha.as_array()[:S.base.n_pairs])[1]
 
 
 def nontrivial_component(S, alpha):
     """The component of ``alpha`` orthogonal to the trivial span (float)."""
-    r = _off_frame(_trivial_frame(S),
+    r = _off_frame(_trivial_frame(S.base),
                    speed_vector(S.base, alpha).as_array()[:S.base.n_pairs])[0]
     return np.concatenate([r, -r])
 
@@ -534,7 +530,7 @@ def nontrivial_speed(S):
     if all of them project to zero).
     """
     k = S.base.n_pairs
-    frame = _trivial_frame(S)
+    frame = _trivial_frame(S.base)
     res, norms = zip(*[_off_frame(frame, b.as_array()[:k]) for b in S.basis])
     top = max(norms)
     if top == 0:
@@ -547,7 +543,7 @@ def nontrivial_speed(S):
     else:
         best = res[norms.index(top)].tolist()
     mx = max(abs(x) for x in best)
-    return _lift(S.base, [x / mx for x in best])
+    return _lift([x / mx for x in best])
 
 
 def deform(P, theta, alpha, t):
@@ -754,9 +750,12 @@ def frozen_product(P, theta, alpha):
 
 def sample_grid(c, samples, exact):
     """``samples`` evenly spaced t from -c to c: exact Fractions with
-    ``exact``, floats otherwise.  Fewer than 2 samples raise InputError."""
+    ``exact``, floats otherwise.  Fewer than 2 samples, or a half-width c
+    that is not positive, as in ``shadow_system``, raise InputError."""
     if samples < 2:
         raise InputError(f"need at least 2 samples, got {samples}")
+    if c <= 0:
+        raise InputError("persistence half-width must be positive")
     if exact:
         c = Fraction(c)
         return [-c + 2 * c * Fraction(i, samples - 1) for i in range(samples)]

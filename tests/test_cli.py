@@ -233,6 +233,29 @@ def test_exit_1_on_fewer_than_two_samples(capsys, cube_json):
             assert json.loads(err)["error"] == "InputError"
 
 
+def test_exit_1_on_a_half_width_that_is_not_positive(capsys, cube_json):
+    # a negative --t-max wrote the reversed grid 1/8, 0, -1/8
+    for kernel in ("rational", "double"):
+        for t_max in ("-1/8", "0"):
+            rc, out, err = run_cli(capsys, "deform", cube_json, "--theta",
+                                   "0,0,1", "--speed", "1,1,1,1",
+                                   f"--t-max={t_max}", "--samples", "3",
+                                   "--kernel", kernel)
+            assert rc == 1 and out == ""
+            assert json.loads(err) == {
+                "error": "InputError",
+                "message": "persistence half-width must be positive"}
+
+
+def test_exit_1_on_run_settings_that_break_the_descent(capsys):
+    for argv in (["--termination-tol", "nan"], ["--max-iters", "-1"],
+                 ["--direction-budget", "-1"]):
+        rc, out, err = run_cli(capsys, "optimize", "--pairs", "4", "--seed",
+                               "1", *argv)
+        assert rc == 1 and out == ""
+        assert json.loads(err)["error"] == "InputError"
+
+
 def test_exit_1_on_numbers_past_the_digit_limit(capsys, tmp_path):
     # the cube of half-edge 2^-5000: its exact volume has a denominator of
     # more than 4,300 digits, which Python does not write as text

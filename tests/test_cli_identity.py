@@ -74,6 +74,12 @@ def test_error_runs_are_listed_apart():
             assert ["deform", "bodies/cube.json", "--kernel", kernel,
                     "--theta", "0,0,1", "--speed", "1,1,1,1", "--t-max",
                     "1/8", "--samples", n] in argvs
+    assert ["optimize", "--pairs", "4", "--seed", "1", "--termination-tol",
+            "nan"] in argvs
+    for kernel in ("rational", "double"):
+        assert ["deform", "bodies/cube.json", "--kernel", kernel, "--theta",
+                "0,0,1", "--speed", "1,1,1,1", "--t-max=-1/8",
+                "--samples", "3"] in argvs
     assert not any("--out" in argv or "--csv" in argv for argv in argvs)
     tiny = cli_identity.ERROR_BODIES["tiny_cube"]
     assert [[Fraction(c) * 2 ** 5000 for c in p] for p in tiny] == \

@@ -21,6 +21,8 @@ from mahler3d import hull, shadow as SH
 from mahler3d.errors import DegenerateInput, InputError, InternalInconsistency
 
 import oracles
+from conftest import (CUBE_REPS, CUBOCTA_REPS, HEX_PRISM_REPS, OCTA_REPS,
+                      sym)
 
 LAYOUT_ERROR = "hull input must be k points followed by their negations"
 
@@ -93,7 +95,7 @@ def check_projection(P):
     parallel and impose nothing."""
     i, j = P.lattice.edges[0]
     thetas = [(3, 5, 7), hull.sub(P.vertices[j], P.vertices[i])]
-    odd = SH._lift(P, [Fraction(1, a + 2) for a in range(P.n_pairs)])
+    odd = SH._lift([Fraction(1, a + 2) for a in range(P.n_pairs)])
     got = {}
     for S in M.admissible_spaces(P, thetas):
         speeds = list(S.basis) + list(S.trivial_basis) + [odd]
@@ -167,9 +169,32 @@ def test_merge_keeps_the_first_spelling_and_sign():
     assert M.volume(R) == Fraction(2, 3)
 
 
+def test_build_merges_exactly_up_to_sign(corpus50):
+    # repeated, negated and respelled points and the origin: the body keeps
+    # the oracle's first of each class, in its canonical sign max(p, -p),
+    # sorted as the public constructor sorts its representatives
+    rng = np.random.default_rng(11)
+    origin = (0, 0, 0)
+    bodies = [sym(r, M.RATIONAL) for r in (CUBE_REPS, OCTA_REPS,
+                                           CUBOCTA_REPS, HEX_PRISM_REPS)]
+    for P in bodies + [M.snap_to_rational(Q) for Q in corpus50[:10]]:
+        reps = [P.vertices[i] for i in P.rep_indices()]
+        seq = [origin]
+        for i, p in enumerate(reps):
+            seq += [hull.neg(p), _respelled(p, i), p, origin]
+        seq = [seq[i] for i in rng.permutation(len(seq))]
+        want = sorted([max(p, hull.neg(p))
+                       for p in oracles.merge_representatives(seq)
+                       if any(p)], reverse=True)
+        assert want == sorted([max(p, hull.neg(p)) for p in reps],
+                              reverse=True)
+        R = M.build_sym_polytope(seq, kernel=M.RATIONAL)
+        assert R.vertices[:R.n_pairs] == tuple(want)
+
+
 def test_singular_gram_matrix_is_an_internal_inconsistency(cube_r):
     S = M.admissible_space(cube_r, (3, 5, 7))
-    flat = SH._lift(cube_r, [Fraction(1)] * cube_r.n_pairs)
+    flat = SH._lift([Fraction(1)] * cube_r.n_pairs)
     broken = SH.SpeedSpace(base=S.base, theta=S.theta, basis=S.basis,
                            trivial_basis=(S.trivial_basis[0], flat,
                                           S.trivial_basis[0]),

@@ -16,6 +16,31 @@ def test_config_validation():
         M.DescentConfig(max_vertices=7)
 
 
+def test_config_rejects_settings_that_break_the_descent():
+    # a NaN tolerance made every move fail ``after < before - tol``, so the
+    # descent stopped at once with no-improving-move; a negative one let a
+    # move raise the product
+    P = M.random_symmetric_polytope(4, seed=1)
+    tr = M.descend(P, M.DescentConfig(seed=1, max_iters=3))
+    assert (len(tr.steps), tr.meta["terminated_by"]) == (1, "classification")
+    for bad in ({"termination_tol": float("nan")},
+                {"termination_tol": float("inf")},
+                {"termination_tol": -1e-9}, {"termination_tol": "x"},
+                {"max_iters": -1}, {"max_iters": 2.0},
+                {"direction_budget": -1}, {"direction_budget": 1.5}):
+        with pytest.raises(InputError):
+            M.DescentConfig(seed=1, **bad)
+    # the values stay as given, so the trace metadata reports them
+    cfg = M.DescentConfig(seed=1, max_iters=3, termination_tol="1e-9")
+    assert cfg.termination_tol == "1e-9"
+    tr = M.descend(P, cfg)
+    assert tr.meta["config"]["termination_tol"] == "1e-9"
+    assert (len(tr.steps), tr.meta["terminated_by"]) == (1, "classification")
+    zero = M.DescentConfig(termination_tol=0, max_iters=0, direction_budget=0)
+    assert (zero.termination_tol, zero.max_iters, zero.direction_budget) == \
+        (0, 0, 0)
+
+
 def test_random_polytope_counts_and_determinism():
     for pairs in (3, 4, 5, 6):
         P = M.random_symmetric_polytope(pairs, seed=42)
@@ -169,6 +194,9 @@ def test_corpus_verify_validates_args():
         M.corpus_verify(0)
     with pytest.raises(InputError):
         M.corpus_verify(5, n_pairs_max=2)
+    # no body verified has no product to summarize
+    with pytest.raises(InputError, match="no body"):
+        M.corpus_verify(1, bodies=[])
 
 
 def test_no_state_left_on_input_bodies(corpus50, cubocta_d):

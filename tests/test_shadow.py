@@ -192,10 +192,10 @@ def test_one_triviality_rule_just_off_the_trivial_span(cube_d):
     # absolute residual norm, such as 1e-8, would take it as trivial
     S = M.admissible_space(cube_d, (3, 5, 7))
     k = cube_d.n_pairs
-    off = M.nontrivial_component(S, M.shadow._lift(cube_d, [1.0, 0, 0, 0]))
+    off = M.nontrivial_component(S, M.shadow._lift([1.0, 0, 0, 0]))
     off = off[:k] / np.linalg.norm(off[:k])
     near = list(S.trivial_basis[0].as_array()[:k] + 5e-9 * off)
-    b = M.shadow._lift(cube_d, near)
+    b = M.shadow._lift(near)
     rel = np.linalg.norm(M.nontrivial_component(S, b)) / np.linalg.norm(
         b.as_array())
     assert 1e-9 < rel < 1e-8
@@ -247,8 +247,37 @@ def test_nontrivial_speed_follows_is_trivial(corpus50):
             if P.kernel == M.RATIONAL:
                 best = max(M.shadow._off_trivial(S, S.basis), key=sq)
                 mx = max(abs(x) for x in best)
-                assert alpha == M.shadow._lift(P, [x / mx for x in best])
+                assert alpha == M.shadow._lift([x / mx for x in best])
     assert min(seen.values()) > 50
+
+
+def test_trivial_frame_is_the_qr_of_the_trivial_speeds(corpus50):
+    # the trivial speeds from w = e1, e2, e3 are the coordinate columns, so
+    # the frame read from the float image is the QR of the stacked speeds
+    k3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    for P in _named_and_corpus_bodies(corpus50):
+        T = np.stack([M.trivial_speed(P, w).as_array()[:P.n_pairs]
+                      for w in k3], axis=1)
+        assert np.array_equal(M.shadow._trivial_frame(P), np.linalg.qr(T)[0])
+
+
+def test_double_facet_normals_are_the_stored_unit_normals(corpus50):
+    rng = np.random.default_rng(7)
+    bodies = [P for P in _named_and_corpus_bodies(corpus50)
+              if P.kernel == M.DOUBLE]
+    for P in bodies:
+        stored = np.array([n for n, _ in P.lattice.facet_planes])
+        assert np.all(np.abs(np.linalg.norm(stored, axis=1) - 1) <= 1e-15)
+        N = M.shadow._facet_normals(P)
+        assert np.array_equal(N, stored[:P.lattice.F // 2].T)
+        # renormalising them moves no parallelism decision
+        renormed = N / np.linalg.norm(N, axis=0)
+        i, j = P.lattice.edges[0]
+        thetas = ([M.direction(v) for v in rng.normal(size=(8, 3)).tolist()]
+                  + [M.direction(hull.sub(P.vertices[j], P.vertices[i]))])
+        assert (M.shadow._parallel_sets(P, N, thetas, ParallelismAmbiguity)
+                == M.shadow._parallel_sets(P, renormed, thetas,
+                                           ParallelismAmbiguity))
 
 
 def test_deform_identity_at_zero(cubocta_r):

@@ -123,8 +123,9 @@ def help_commands():
 def error_commands():
     """(name, argv) of the runs that end in a typed error, exit 1 with a
     JSON error on stderr: a NaN ``--tol`` on the double kernel, a speed
-    that is not a number, ``product`` and ``analyze`` of ``tiny_cube``, and
-    ``deform`` with fewer than 2 samples on each kernel."""
+    that is not a number, ``product`` and ``analyze`` of ``tiny_cube``,
+    ``optimize`` with a NaN ``--termination-tol``, and ``deform`` with fewer
+    than 2 samples and with a negative ``--t-max`` on each kernel."""
     return [
         ("error-product-tol-nan-double",
          ["product", "bodies/cube.json", "--kernel", "double", "--tol", "nan"]),
@@ -133,10 +134,17 @@ def error_commands():
           "--speed", "x,1,1,1"]),
         ("error-product-tiny_cube", ["product", "bodies/tiny_cube.json"]),
         ("error-analyze-tiny_cube", ["analyze", "bodies/tiny_cube.json"]),
+        ("error-optimize-termination-tol-nan",
+         ["optimize", "--pairs", "4", "--seed", "1",
+          "--termination-tol", "nan"]),
     ] + [(f"error-deform-samples-{n}-{kernel}",
           ["deform", "bodies/cube.json", "--kernel", kernel, "--theta",
            "0,0,1", "--speed", "1,1,1,1", "--t-max", "1/8", "--samples", n])
-         for n in ("1", "0") for kernel in ("rational", "double")]
+         for n in ("1", "0") for kernel in ("rational", "double")] + [
+        (f"error-deform-t-max-negative-{kernel}",
+         ["deform", "bodies/cube.json", "--kernel", kernel, "--theta",
+          "0,0,1", "--speed", "1,1,1,1", "--t-max=-1/8", "--samples", "3"])
+        for kernel in ("rational", "double")]
 
 
 def run_side(checkout, workdir, cmds=None):
