@@ -12,8 +12,9 @@ Verdicts read the lattice; exact arithmetic only certifies the witness.
 ``_decide`` reaches the verdict from the counts, degrees and facet sizes of
 the labeled lattice alone, and names the side and the rule for the witness
 direction; ``classify_minimizer_candidate`` then certifies that one witness
-on the exact kernel.  Double-kernel inputs are snapped to dyadic rationals
-first, so the lattice that is judged is the snapped one.
+on the exact kernel.  The lattice that is judged is the body's own; only an
+exclusion with a witness snaps a double-kernel body to dyadic rationals, to
+certify the witness that ``_decide`` names on the snapped lattice.
 """
 
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import geometry as G, polarity as PO, shadow as SH
 from .errors import (BoundViolation, InputError, InternalInconsistency,
-                     MahlerError)
+                     MahlerError, ParallelismAmbiguity)
 from .hull import sub
 
 PARALLELEPIPED = "Parallelepiped"
@@ -130,9 +131,11 @@ def in_plane_direction(B, facet):
     """A direction in the plane of the given facet, parallel to no other
     facet of ``B`` (the antipodal facet is necessarily parallel and exempt).
 
-    Scans d_j = (v2 - v1) + j (v3 - v1) for j < ``_DIRECTION_TRIES``; each
-    other facet rules out at most one j, so the scan succeeds on any body
-    with fewer facets than that.
+    Scans d_j = (v2 - v1) + j (v3 - v1) for j < ``_DIRECTION_TRIES`` and
+    skips a d_j that is parallel to another facet or too nearly parallel to
+    decide (``ParallelismAmbiguity``); each other facet rules out at most
+    one j, so the scan succeeds on any body with fewer facets than that.
+    Raises InternalInconsistency only when the budget ends.
     """
     lat = B.lattice
     cyc = lat.facet_cycles[facet]
@@ -145,8 +148,11 @@ def in_plane_direction(B, facet):
         if all(x == 0 for x in cand):
             continue
         d = SH.direction(cand)
-        if not SH.parallel_facets(B, d, exempt=own):
-            return d
+        try:
+            if not SH.parallel_facets(B, d, exempt=own):
+                return d
+        except ParallelismAmbiguity:
+            pass
     raise InternalInconsistency(
         f"no in-plane witness direction for facet {facet} in budget")
 
@@ -268,10 +274,14 @@ def classify_minimizer_candidate(P):
     direction theta on P or its polar whose dimension bound exceeds 3 plus
     the certified non-trivial admissible speed, except in the one
     arithmetically impossible V = F census, which is excluded by counting.
+    The lattice of ``P`` decides; an exclusion with a witness is decided,
+    certified and reported again on ``G.snap_to_rational(P)``.
     """
-    P = G.snap_to_rational(P)
+    verdict, notes, side, pick = _decide(P.lattice)
+    if side is not None:
+        P = G.snap_to_rational(P)
+        verdict, notes, side, pick = _decide(P.lattice)
     lat = P.lattice
-    verdict, notes, side, pick = _decide(lat)
     evidence = {"V": lat.V, "E": lat.E, "F": lat.F,
                 "max_degree": max(lat.d(v) for v in lat.I0),
                 "facet_size_census": lat.facet_size_census()}

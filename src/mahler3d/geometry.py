@@ -540,8 +540,10 @@ def _snap(P):
 
 def snap_to_rational(P):
     """Round a double-kernel polytope to dyadic rationals (denominator
-    2^_SNAP_BITS) and rebuild it on the exact kernel.  Combinatorial verdicts
-    downstream then cannot flip on rounding."""
+    2^_SNAP_BITS) and rebuild it on the exact kernel, where a witness can be
+    certified exactly.  The rounding may change the lattice: it breaks the
+    exact coplanarity of a facet with more than three vertices, so the snap
+    of a parallelepiped can have triangles."""
     return P if P.kernel == RATIONAL else _snap(P)
 
 

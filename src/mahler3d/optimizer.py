@@ -189,9 +189,11 @@ def descend(P0, cfg=None):
     kernels, and tried best first; near-ties go by side and direction.  An
     accepted move goes to the breakpoint of ``persistence_root`` (exact on
     the rational kernel), is re-hulled there, and strictly decreases the
-    true product by more than the termination tolerance.  The trace records
-    each move, the final classification, and the gap to 32/3; it also flags
-    the suspicious stall where a non-trivial speed has a breakpoint product
+    true product by more than the termination tolerance.  The descent stops
+    at an iterate whose own lattice ``_decide`` judges a minimizer, and only
+    its final body is classified with a witness.  The trace records each
+    move, the final classification, and the gap to 32/3; it also flags the
+    suspicious stall where a non-trivial speed has a breakpoint product
     different from the current one, but neither breakpoint improves it.
     """
     cfg = cfg or DescentConfig()
@@ -206,8 +208,7 @@ def descend(P0, cfg=None):
     stall = False
     terminated_by = "iteration-budget"
     for _ in range(cfg.max_iters):
-        S = G.snap_to_rational(P)
-        if CB._decide(S.lattice)[0] != CB.EXCLUDED:
+        if CB._decide(P.lattice)[0] != CB.EXCLUDED:
             terminated_by = "classification"
             break
         Q = PO.polar(P)
@@ -249,10 +250,7 @@ def descend(P0, cfg=None):
                                  theta=th, alpha=alpha, t=float(t),
                                  product_before=before, product_after=after))
         P = _snap_iterate(newP)
-    else:
-        S = G.snap_to_rational(P)
-    # only the final verdict needs its witness; S is rational, so not re-snapped
-    final_cls = CB.classify_minimizer_candidate(S)
+    final_cls = CB.classify_minimizer_candidate(P)
     gap = float(PO.volume_product(P).product) - bound
     if gap < -1e-6:
         raise CounterexampleAlarm(

@@ -68,6 +68,21 @@ def corpus50():
     return random_corpus(50, seed=20240817)
 
 
+@pytest.fixture
+def snap_calls(monkeypatch):
+    """The bodies passed to ``geometry.snap_to_rational`` during the test."""
+    from mahler3d import geometry
+    calls = []
+    real = geometry.snap_to_rational
+
+    def snap_to_rational(P):
+        calls.append(P)
+        return real(P)
+
+    monkeypatch.setattr(geometry, "snap_to_rational", snap_to_rational)
+    return calls
+
+
 GATE_LINES = []
 
 

@@ -13,6 +13,7 @@ with wall-clock timers.
 """
 
 import time
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -200,9 +201,13 @@ def test_7_descent_batch():
     floor_ok = True
     hits = 0
     gaps = []
+    verdicts = Counter()
+    endings = Counter()
     for i in range(25):
         P = M.random_symmetric_polytope(pairs_cycle[i % 4], seed=7000 + i)
         tr = M.descend(P, M.DescentConfig(seed=i, max_iters=12))
+        verdicts[tr.final_classification.verdict] += 1
+        endings[tr.meta["terminated_by"]] += 1
         for s in tr.steps:
             monotone_ok = monotone_ok and s.product_after <= s.product_before + 1e-12
         for a, b in zip(tr.steps, tr.steps[1:]):
@@ -216,7 +221,8 @@ def test_7_descent_batch():
     _verdict(7, ok, f"25 descents: monotone={monotone_ok}, floor 32/3-1e-6="
                     f"{floor_ok}, {hits}/25 = {frac:.0%} with gap <= "
                     f"{thr:.2f} (need >= 60%), median gap "
-                    f"{float(np.median(gaps)):.2f}, {dt:.0f}s < 600s")
+                    f"{float(np.median(gaps)):.2f}, verdicts {dict(verdicts)}, "
+                    f"terminated by {dict(endings)}, {dt:.0f}s < 600s")
 
 
 def test_8_corpus_alarm():

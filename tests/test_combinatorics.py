@@ -4,11 +4,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.spatial.transform import Rotation
 
 import mahler3d as M
 from mahler3d.cli import _jsonable
 
 import oracles
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def test_c_theta_fixture_values(cube_r, octa_r, cubocta_r):
@@ -82,6 +85,20 @@ def test_in_plane_direction_parallel_to_its_facet_only(cubocta_r):
             assert d != 0
 
 
+def test_in_plane_direction_skips_an_ambiguous_candidate():
+    # the polar of the fixture is a body where a descent stalled: d_0 of
+    # facet 0 has |theta.n| = 1.477e-14 against another facet, inside the
+    # undecidable band, so the scan goes on to the next candidate
+    data = json.loads((FIXTURES / "in_plane_ambiguous.json").read_text())
+    B = M.polar(M.from_representatives(data["vertices"], M.DOUBLE))
+    assert B.lattice.facet_size_census() == {3: 8, 4: 2}
+    assert B.lattice.m(0) == 4
+    th = M.in_plane_direction(B, 0)
+    assert not M.parallel_facets(B, th, exempt=(0,))
+    n, _ = B.lattice.facet_planes[0]
+    assert abs(float(np.dot(th.theta, n))) < 1e-12
+
+
 def _check_witness(P, cls):
     """Re-derive the claimed witness from scratch and certify it."""
     ev = cls.evidence
@@ -141,8 +158,32 @@ def test_classify_double_input_snaps(cube_d, cubocta_d):
     assert M.classify_minimizer_candidate(cubocta_d).verdict == M.EXCLUDED
 
 
-BRANCH_FIXTURES = sorted(
-    (Path(__file__).parent / "fixtures").glob("classify_*.json"))
+def _images(B):
+    for s in range(20):
+        A = Rotation.random(random_state=s).as_matrix() @ np.diag([1, 1.7, 0.6])
+        yield M.linear_image(B, A.tolist())
+
+
+def test_classify_double_images_on_their_own_lattice(cube_d, octa_d):
+    # a 2^-40 snap splits the squares of most cube images into triangles;
+    # the verdict is the one of the image's own lattice
+    for B, verdict in ((cube_d, M.PARALLELEPIPED),
+                       (octa_d, M.AFFINE_OCTAHEDRON)):
+        assert [M.classify_minimizer_candidate(I).verdict
+                for I in _images(B)] == [verdict] * 20
+
+
+def test_classification_snaps_only_to_certify_an_exclusion(
+        snap_calls, cube_d, octa_d, cubocta_d):
+    for B in (cube_d, octa_d, next(_images(cube_d))):
+        M.classify_minimizer_candidate(B)
+    assert snap_calls == []
+    cls = M.classify_minimizer_candidate(cubocta_d)
+    assert cls.verdict == M.EXCLUDED and snap_calls == [cubocta_d]
+    _check_witness(M.snap_to_rational(cubocta_d), cls)
+
+
+BRANCH_FIXTURES = sorted(FIXTURES.glob("classify_*.json"))
 
 
 @pytest.mark.parametrize("path", BRANCH_FIXTURES, ids=lambda p: p.stem)
@@ -151,7 +192,9 @@ def test_classify_branch_fixtures(path):
     # bodies never reach; the golden verdicts and evidence, keys in order,
     # are those of the classification before it was split into a lattice
     # decision and one witness step.  The double polars of the pentagon
-    # and F = V + 2 bodies snap to other lattices (ROADMAP item 1).
+    # and F = V + 2 bodies are excluded on their own lattices, and their
+    # witnesses are certified on snaps that have other lattices, so the
+    # evidence is the snap's (ROADMAP item 1).
     data = json.loads(path.read_text())
     for kernel, golden in data["golden"].items():
         P = M.load_polytope(data, kernel=kernel)

@@ -295,7 +295,9 @@ def test_tied_moves_ignore_score_noise(monkeypatch):
 
 def test_descent_builds_witness_evidence_once(monkeypatch, cubocta_r):
     # the descent reads only verdicts on its iterates; the witness of the
-    # final classification is the one it certifies
+    # final classification is the one it certifies.  The first start ends at
+    # a parallelepiped, which needs none; cut after one move it ends excluded
+    # on a lattice that its snap changes, and the witness is certified once
     from mahler3d import combinatorics
     calls = []
     real = combinatorics._witness_evidence
@@ -305,12 +307,35 @@ def test_descent_builds_witness_evidence_once(monkeypatch, cubocta_r):
         return real(*args)
 
     monkeypatch.setattr(combinatorics, "_witness_evidence", witness_evidence)
+    start = M.random_symmetric_polytope(5, seed=2)
     counts = []
-    for P, cfg in ((M.random_symmetric_polytope(5, seed=2),
-                    M.DescentConfig(seed=2)),
+    traces = []
+    for P, cfg in ((start, M.DescentConfig(seed=2)),
+                   (start, M.DescentConfig(seed=2, max_iters=1)),
                    (cubocta_r, M.DescentConfig(seed=5, max_iters=1))):
         calls.clear()
         tr = M.descend(P, cfg)
         counts.append(len(calls))
+        traces.append(tr)
         assert len(calls) == (tr.final_classification.verdict == M.EXCLUDED)
-    assert counts == [1, 0]
+    assert counts == [0, 1, 0]
+    tr = traces[1]
+    census = M.snap_to_rational(tr.final).lattice.facet_size_census()
+    assert tr.final.lattice.facet_size_census() == {3: 12, 4: 2}
+    assert census == tr.final_classification.evidence["facet_size_census"]
+    assert census == {3: 16}
+
+
+@pytest.mark.parametrize("n_pairs, seed, cfg", [
+    # acceptance-7 run 21: the snap of its final parallelepiped has triangles
+    (4, 7021, M.DescentConfig(seed=21, max_iters=12)),
+    # stalled while the in-plane witness of a quadrilateral raised
+    (7, 9100, M.DescentConfig(seed=0, max_iters=40, max_vertices=14)),
+], ids=["acceptance-7-run-21", "in-plane-ambiguous"])
+def test_descent_judges_its_own_lattice(snap_calls, n_pairs, seed, cfg):
+    tr = M.descend(M.random_symmetric_polytope(n_pairs, seed=seed), cfg)
+    assert tr.final_classification.verdict == M.PARALLELEPIPED
+    assert tr.meta["terminated_by"] == "classification"
+    assert tr.final.lattice.facet_size_census() == {4: 6}
+    assert abs(tr.final_gap) <= 1e-9
+    assert snap_calls == []
